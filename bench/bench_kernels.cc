@@ -4,8 +4,8 @@
  *
  * Four sections:
  *   1. Pair sweeps — one small list against larger lists across a
- *      size-ratio sweep, wall-clocking every kernel (merge, blocked,
- *      gallop, SIMD merge, SIMD gallop, adaptive dispatcher) on
+ *      size-ratio sweep, wall-clocking every kernel (merge, gallop,
+ *      SIMD merge, SIMD gallop, adaptive dispatcher) on
  *      identical inputs and checking outputs and canonical charges
  *      agree.
  *   2. SIMD sweep — 4k x 4k equal-size races isolating the AVX2
@@ -79,7 +79,6 @@ struct SweepRow
     std::size_t ratio = 0;
     bool bitmap_backed = false;
     double mergeNs = 0;
-    double blockedNs = 0;
     double gallopNs = 0;
     double bitmapNs = -1; ///< -1 = no hub row for this input
     double simdMergeNs = -1; ///< -1 = SIMD tier unavailable
@@ -90,7 +89,7 @@ struct SweepRow
     double
     bestSingleNs() const
     {
-        double best = std::min({mergeNs, blockedNs, gallopNs});
+        double best = std::min(mergeNs, gallopNs);
         if (bitmapNs > 0)
             best = std::min(best, bitmapNs);
         if (simdMergeNs > 0)
@@ -140,7 +139,6 @@ racePair(std::span<const VertexId> small, std::span<const VertexId> large,
     };
     if (core::canonicalIntersectWork(small, large) != ref_work)
         fail("canonical work formula disagrees with merge loop");
-    check("blocked", core::blockedIntersectInto(small, large, out));
     check("gallop", core::gallopIntersectInto(small, large, out));
     check("simd_merge", core::simdMergeIntersectInto(small, large, out));
     check("simd_gallop",
@@ -148,8 +146,6 @@ racePair(std::span<const VertexId> small, std::span<const VertexId> large,
 
     row.mergeNs = timeKernel(
         [&] { core::intersectInto(small, large, out); });
-    row.blockedNs = timeKernel(
-        [&] { core::blockedIntersectInto(small, large, out); });
     row.gallopNs = timeKernel(
         [&] { core::gallopIntersectInto(small, large, out); });
     if (core::simdAvailable()) {
@@ -227,7 +223,6 @@ sweepJson(const std::vector<SweepRow> &rows)
            << ", \"bitmap_backed\": " << (r.bitmap_backed ? "true"
                                                           : "false")
            << ", \"merge_ns\": " << r.mergeNs
-           << ", \"blocked_ns\": " << r.blockedNs
            << ", \"gallop_ns\": " << r.gallopNs
            << ", \"bitmap_ns\": " << r.bitmapNs
            << ", \"simd_merge_ns\": " << r.simdMergeNs

@@ -128,19 +128,6 @@ BM_IntersectSkewDispatch(benchmark::State &state)
 }
 BENCHMARK(BM_IntersectSkewDispatch)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-void
-BM_IntersectBlocked(benchmark::State &state)
-{
-    const auto a = sortedRandomList(state.range(0), 1);
-    const auto b = sortedRandomList(state.range(0), 2);
-    std::vector<VertexId> out;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(core::blockedIntersectInto(a, b, out));
-    state.SetItemsProcessed(state.iterations()
-                            * (a.size() + b.size()));
-}
-BENCHMARK(BM_IntersectBlocked)->Arg(64)->Arg(1024)->Arg(16384);
-
 /** AVX2 block merge on near-equal lists (scalar fallback when the
  *  host lacks AVX2 — compare against BM_IntersectPair). */
 void

@@ -643,15 +643,8 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         const RecoveryPlanner planner(fabric_);
         const auto adoptions = planner.plan(crashes, std::move(finish));
         const double handshake = config_.cost.adoptionHandshakeNs;
-        const unsigned units_per_node = partition_.socketsPerNode();
         for (const AdoptionDecision &d : adoptions) {
             const ChunkRecord &rec = d.chunk;
-            const NodeId an = d.adopter / units_per_node;
-            const NodeId vn = d.victim / units_per_node;
-            // khuzdul-lint: allow(fabric-mutation) adoption commit: the sequential post-merge pass IS the sanctioned entry point
-            fabric_.recordTransfer(an, vn, rec.columnBytes, 1);
-            sim::NodeStats &adopter = stats_.nodes[d.adopter];
-            sim::NodeStats &victim = stats_.nodes[d.victim];
             // Mirror of the planner's finish[] update: the adopter
             // re-runs the chunk at fault-free prices from the
             // checkpointed columns.  Lost chunks are double-paid by
@@ -661,17 +654,13 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
             // costs.  The victim's frozen times are never touched;
             // only its send-side volume grows (the checkpoint store
             // on its node ships the columns).
-            adopter.computeNs += rec.computeNs;
-            adopter.commExposedNs += rec.baseExposedNs + d.transferNs;
-            adopter.commTotalNs += rec.baseCommNs + d.transferNs;
-            adopter.schedulerNs += handshake;
-            adopter.bytesReceived += rec.columnBytes;
-            adopter.messagesSent += 1;
+            commitMigration(d.adopter, d.victim, rec, d.transferNs,
+                            handshake);
+            sim::NodeStats &adopter = stats_.nodes[d.adopter];
             adopter.chunksAdopted += 1;
             adopter.adoptionBytesIn += rec.columnBytes;
             adopter.adoptionNs += handshake + d.transferNs;
-            victim.bytesSent += rec.columnBytes;
-            victim.adoptionBytesOut += rec.columnBytes;
+            stats_.nodes[d.victim].adoptionBytesOut += rec.columnBytes;
             tracer_.emit({sim::PhaseEvent::ChunkAdopted, d.adopter,
                           rec.level, rec.embeddings, d.victim});
         }
@@ -699,30 +688,21 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         const auto decisions =
             planner.plan(std::move(stealLedgers), std::move(finish));
         const double handshake = config_.cost.stealHandshakeNs;
-        const unsigned units_per_node = partition_.socketsPerNode();
         std::uint64_t steal_bytes = 0;
         for (const StealDecision &d : decisions) {
             const ChunkRecord &rec = d.chunk;
-            const NodeId tn = d.thief / units_per_node;
-            const NodeId vn = d.victim / units_per_node;
             tracer_.emit({sim::PhaseEvent::StealIssued, d.thief,
                           rec.level, rec.columnBytes, d.victim});
-            // khuzdul-lint: allow(fabric-mutation) steal commit: the sequential post-merge pass IS the sanctioned entry point
-            fabric_.recordTransfer(tn, vn, rec.columnBytes, 1);
-            sim::NodeStats &thief = stats_.nodes[d.thief];
-            sim::NodeStats &victim = stats_.nodes[d.victim];
             // Mirror of the planner's finish[] update: the thief
             // re-executes the chunk at fault-free prices plus the
             // column transfer; the victim sheds exactly what its
             // ledger recorded and keeps the handshake.  recoveryNs
             // and replay waste stay with the victim — the fault
             // history happened on its watch.
-            thief.computeNs += rec.computeNs;
-            thief.commExposedNs += rec.baseExposedNs + d.transferNs;
-            thief.commTotalNs += rec.baseCommNs + d.transferNs;
-            thief.schedulerNs += handshake;
-            thief.bytesReceived += rec.columnBytes;
-            thief.messagesSent += 1;
+            commitMigration(d.thief, d.victim, rec, d.transferNs,
+                            handshake);
+            sim::NodeStats &thief = stats_.nodes[d.thief];
+            sim::NodeStats &victim = stats_.nodes[d.victim];
             thief.chunksStolen += 1;
             thief.stealBytesIn += rec.columnBytes;
             thief.stealOverheadNs += handshake + d.transferNs;
@@ -730,7 +710,6 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
             victim.commExposedNs -= rec.exposedNs;
             victim.commTotalNs -= rec.commNs;
             victim.schedulerNs += handshake;
-            victim.bytesSent += rec.columnBytes;
             victim.chunksDonated += 1;
             victim.stealBytesOut += rec.columnBytes;
             victim.stealOverheadNs += handshake;
@@ -763,6 +742,25 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
                   "raw count " << raw << " not divisible by "
                   << plan.countDivisor);
     return static_cast<Count>(raw / plan.countDivisor);
+}
+
+void
+Engine::commitMigration(unsigned receiver, unsigned sender,
+                        const ChunkRecord &rec, double transfer_ns,
+                        double handshake_ns)
+{
+    const unsigned units_per_node = partition_.socketsPerNode();
+    // khuzdul-lint: allow(fabric-mutation) migration commit: the sequential post-merge steal/adoption passes ARE the sanctioned entry point
+    fabric_.recordTransfer(receiver / units_per_node,
+                           sender / units_per_node, rec.columnBytes, 1);
+    sim::NodeStats &to = stats_.nodes[receiver];
+    to.computeNs += rec.computeNs;
+    to.commExposedNs += rec.baseExposedNs + transfer_ns;
+    to.commTotalNs += rec.baseCommNs + transfer_ns;
+    to.schedulerNs += handshake_ns;
+    to.bytesReceived += rec.columnBytes;
+    to.messagesSent += 1;
+    stats_.nodes[sender].bytesSent += rec.columnBytes;
 }
 
 void

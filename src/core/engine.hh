@@ -56,6 +56,7 @@ namespace core
 
 class ThreadPool;
 class CancelToken;
+struct ChunkRecord;
 
 /**
  * Per-query session tunables — the knobs that are legitimately a
@@ -370,6 +371,18 @@ class Engine
 
   private:
     friend class HybridExplorer;
+
+    /**
+     * Receiver-side commit of one chunk migration (orphan adoption
+     * or a steal, DESIGN.md §9/§11): the fabric-priced column
+     * transfer, the chunk re-run at fault-free prices plus
+     * @p transfer_ns, the @p handshake_ns, and the byte/message
+     * tallies on both ends.  Kind-specific counters and the
+     * victim's debits stay with the caller.
+     */
+    void commitMigration(unsigned receiver, unsigned sender,
+                         const ChunkRecord &rec, double transfer_ns,
+                         double handshake_ns);
 
     Engine(std::unique_ptr<GraphContext> owned, GraphContext *context,
            const SessionConfig &session);

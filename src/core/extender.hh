@@ -1,20 +1,26 @@
 /**
  * @file
- * The extension kernel of the chunked engine: everything one EXTEND
- * call does *after* its edge lists are available.  PlanExtender
- * recovers an embedding's vertices from the parent-pointer chain,
+ * The plan step: one loop level of the generated nested loop (the
+ * paper's EXTEND, §3) and the only definition of its math.  PlanStep
  * materializes candidate sets (with vertical computation sharing,
- * §5.1), applies the plan's per-candidate filters, and folds the
- * IEP terminal block — owning all scratch buffers so the explorer
- * loop in engine.cc stays a pure traversal.  Charged intersection
- * work accumulates in an exchangeable ledger that the explorer
+ * §5.1), applies the plan's per-candidate filters, and sizes and
+ * folds the IEP terminal block.  Both execution paths drive it: the
+ * single-machine DFS runner (core/plan_runner) directly, and the
+ * chunked distributed engine through PlanExtender, which recovers an
+ * embedding's vertices from the parent-pointer chain and prices the
+ * step's work into an exchangeable ledger that the explorer
  * attributes to the embedding's circulant batch.
+ *
+ * The step returns integer WorkItems and leaves pricing to its
+ * caller, so the runner's sums and the engine's modeled charges
+ * come from one set of kernel calls.
  */
 
 #ifndef KHUZDUL_CORE_EXTENDER_HH
 #define KHUZDUL_CORE_EXTENDER_HH
 
 #include <array>
+#include <bit>
 #include <span>
 #include <vector>
 
@@ -32,17 +38,168 @@ namespace khuzdul
 namespace core
 {
 
-/** Per-unit extension state: vertices, candidates, scratch. */
+/** Observation hooks for baseline engines built on the runner. */
+class RunnerHooks
+{
+  public:
+    virtual ~RunnerHooks() = default;
+
+    /** The enumeration just read the edge list of @p v. */
+    virtual void onEdgeListAccess(VertexId v) { (void)v; }
+};
+
+/** Bound on an IEP block's masks: they are distinct subsets of the
+ *  prefix, one per suffix block, so at most 15 for 8-vertex
+ *  patterns. */
+inline constexpr std::size_t kMaxIepMasks = 32;
+
+/** Candidate-set size and charged work of every IEP mask. */
+struct IepMasks
+{
+    std::array<std::int64_t, kMaxIepMasks> sizes{};
+    std::array<WorkItems, kMaxIepMasks> work{};
+};
+
+/**
+ * Sum of coefficient x product of mask sizes over the plan's IEP
+ * terms: the raw-count contribution of one matched prefix.  Every
+ * multiply and add is checked; overflow raises FatalError naming
+ * the term instead of wrapping.
+ */
+std::int64_t foldIep(const IepBlock &iep,
+                     std::span<const std::int64_t> sizes);
+
+/** One EXTEND loop level over a plan: candidates, filter, IEP. */
+class PlanStep
+{
+  public:
+    /** @param hooks optional edge-list observer (baselines only). */
+    PlanStep(const Graph &g, const ExtendPlan &plan,
+             KernelMode kernel_mode, RunnerHooks *hooks = nullptr)
+        : graph_(&g), plan_(&plan), hooks_(hooks),
+          dispatcher_(kernel_mode, &g)
+    {}
+
+    /** vertices[i] = graph vertex matched at position i. */
+    std::array<VertexId, kMaxPatternSize> vertices{};
+
+    /**
+     * Materialize the candidate set for position @p t into @p out,
+     * given matched positions 0..t-1.  @p stored is the candidate
+     * set position t-1 was drawn from (used when the plan level
+     * reuses it, §5.1).
+     */
+    WorkItems buildCandidates(int t, std::span<const VertexId> stored,
+                              std::vector<VertexId> &out);
+
+    /**
+     * Per-candidate filters (restrictions, labels, distinctness) for
+     * position @p t; valid after buildCandidates(t).  A candidate
+     * above every restricted position's vertex is distinct from
+     * them, so only unrestricted positions need an equality test.
+     */
+    bool
+    accept(int t, VertexId candidate) const
+    {
+        if (candidate < lowerBound_[t])
+            return false;
+        const PlanLevel &level = plan_->levels[t];
+        if (level.hasLabelFilter
+            && graph_->label(candidate) != level.labelFilter)
+            return false;
+        const PositionMask unrestricted =
+            ~level.greaterThanMask & ((1u << t) - 1);
+        for (PositionMask m = unrestricted; m != 0; m &= m - 1)
+            if (vertices[std::countr_zero(m)] == candidate)
+                return false;
+        return true;
+    }
+
+    /**
+     * Size every IEP mask over the matched prefix (GraphPi, §IEP),
+     * excluding already-matched vertices; fold with foldIep.
+     * @p stored is the candidate set position prefix_len-1 was drawn
+     * from (vertical sharing into the IEP block).
+     */
+    void iepMasks(int prefix_len, std::span<const VertexId> stored,
+                  IepMasks &out);
+
+    /** Per-kind tallies of the kernels dispatched so far. */
+    const KernelCounters &
+    kernelCounters() const
+    {
+        return dispatcher_.counters();
+    }
+
+  private:
+    /** The edge list of @p v, reported to the hooks when set. */
+    ListRef
+    edgeList(VertexId v)
+    {
+        if (hooks_)
+            hooks_->onEdgeListAccess(v);
+        return {graph_->neighbors(v), v};
+    }
+
+    const Graph *graph_;
+    const ExtendPlan *plan_;
+    RunnerHooks *hooks_;
+    KernelDispatcher dispatcher_;
+
+    /** lowerBound_[t]: smallest candidate position t's restrictions
+     *  admit (1 + the largest restricted vertex, or 0). */
+    std::array<VertexId, kMaxPatternSize> lowerBound_{};
+    std::array<ListRef, kMaxPatternSize> listBuf_{};
+    std::vector<VertexId> scratchA_;
+    std::vector<VertexId> scratchB_;
+};
+
+/** Per-unit chunked extension: vertex recovery plus charging. */
 class PlanExtender
 {
   public:
     PlanExtender(const Graph &g, const ExtendPlan &plan,
                  const sim::CostModel &cost,
                  KernelMode kernel_mode = KernelMode::Auto)
-        : graph_(&g), plan_(&plan), cost_(&cost),
-          dispatcher_(kernel_mode, &g)
+        : plan_(&plan), cost_(&cost), step_(g, plan, kernel_mode)
     {}
 
+    /** Extend non-terminal embedding (@p level, @p idx) of
+     *  @p chunks, appending accepted children to @p child. */
+    void extendInner(const std::vector<Chunk> &chunks, Chunk &child,
+                     int level, std::uint32_t idx,
+                     sim::NodeStats &stats);
+
+    /**
+     * Terminal extension of embedding (@p level, @p idx): IEP fold
+     * or scan-count, delivering matches to @p visitor when set.
+     * @return the raw-count contribution.
+     */
+    std::int64_t extendTerminal(const std::vector<Chunk> &chunks,
+                                int level, std::uint32_t idx,
+                                MatchVisitor *visitor,
+                                sim::NodeStats &stats);
+
+    /** Swap the work ledger (explorer save/zero/restore per
+     *  embedding so work lands on the right batch). */
+    double
+    exchangeWork(double value)
+    {
+        const double old = workNs_;
+        workNs_ = value;
+        return old;
+    }
+
+    double workNs() const { return workNs_; }
+
+    /** Per-kind tallies of the kernels dispatched so far. */
+    const KernelCounters &
+    kernelCounters() const
+    {
+        return step_.kernelCounters();
+    }
+
+  private:
     /**
      * Walk parent pointers to recover the embedding's vertices.
      *
@@ -62,109 +219,43 @@ class PlanExtender
         const std::uint32_t parent = chunks[level].parent(idx);
         if (level == prefixLevel_ && parent == prefixParent_
             && parent != kNoParent) {
-            vertices_[level] = chunks[level].vertex(idx);
-            ++prefixReuses_;
+            step_.vertices[level] = chunks[level].vertex(idx);
             return;
         }
         const std::span<const VertexId> col =
             chunks[level].vertexColumn();
-        vertices_[level] = col[idx];
+        step_.vertices[level] = col[idx];
         std::uint32_t cursor = parent;
         for (int l = level - 1; l >= 0; --l) {
-            vertices_[l] = chunks[l].vertex(cursor);
+            step_.vertices[l] = chunks[l].vertex(cursor);
             cursor = chunks[l].parent(cursor);
         }
         prefixLevel_ = level;
         prefixParent_ = parent;
     }
 
-    /** Host-side tally of sibling-run prefix reuses (bench probe;
-     *  not part of the modeled state). */
-    std::uint64_t prefixReuses() const { return prefixReuses_; }
-
-    /**
-     * Materialize the candidate set for position @p t of the
-     * embedding.  @p stored is the parent's stored intermediate
-     * result (used when the plan level reuses it, §5.1).
-     */
-    void buildCandidates(int t, std::span<const VertexId> stored,
-                         sim::NodeStats &stats);
-
-    /** Per-candidate filters (distinctness, restrictions, labels). */
-    bool accept(int t, VertexId candidate);
-
-    /**
-     * IEP terminal block over the matched prefix (GraphPi, §IEP).
-     * @return the raw-count contribution of this embedding.
-     */
-    std::int64_t iepTerminal(int prefix_len,
-                             std::span<const VertexId> stored,
-                             sim::NodeStats &stats);
-
-    /** Extend non-terminal embedding (@p level, @p idx) of
-     *  @p chunks, appending accepted children to @p child. */
-    void extendInner(const std::vector<Chunk> &chunks, Chunk &child,
-                     int level, std::uint32_t idx,
-                     sim::NodeStats &stats);
-
-    /**
-     * Terminal extension of embedding (@p level, @p idx): IEP fold
-     * or scan-count, delivering matches to @p visitor when set.
-     * @return the raw-count contribution.
-     */
-    std::int64_t extendTerminal(const std::vector<Chunk> &chunks,
-                                int level, std::uint32_t idx,
-                                MatchVisitor *visitor,
-                                sim::NodeStats &stats);
-
-    /** The recovered/extended embedding (position-indexed). */
-    std::array<VertexId, kMaxPatternSize> &vertices()
+    /** Build position @p t's candidates and charge their work. */
+    void
+    buildCandidates(int t, std::span<const VertexId> stored,
+                    sim::NodeStats &stats)
     {
-        return vertices_;
+        if (plan_->levels[t].reuseParent)
+            ++stats.verticalReuses;
+        const WorkItems work =
+            step_.buildCandidates(t, stored, candidates_);
+        stats.intersectionItems += work;
+        workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
     }
 
-    const std::vector<VertexId> &candidates() const
-    {
-        return candidates_;
-    }
-
-    /** Charge @p ns of modeled work to the current ledger. */
-    void addWork(double ns) { workNs_ += ns; }
-
-    /** Swap the work ledger (explorer save/zero/restore per
-     *  embedding so work lands on the right batch). */
-    double
-    exchangeWork(double value)
-    {
-        const double old = workNs_;
-        workNs_ = value;
-        return old;
-    }
-
-    double workNs() const { return workNs_; }
-
-    /** Per-kind tallies of the kernels dispatched so far. */
-    const KernelCounters &
-    kernelCounters() const
-    {
-        return dispatcher_.counters();
-    }
-
-  private:
-    const Graph *graph_;
     const ExtendPlan *plan_;
     const sim::CostModel *cost_;
-    KernelDispatcher dispatcher_;
+    PlanStep step_;
 
-    std::array<VertexId, kMaxPatternSize> vertices_{};
-    std::array<ListRef, kMaxPatternSize> listBuf_{};
     std::vector<VertexId> candidates_;
-    std::vector<VertexId> scratchA_;
-    std::vector<VertexId> scratchB_;
+    IepMasks iep_;
     double workNs_ = 0;
     int prefixLevel_ = -1;          ///< level of the cached prefix
     std::uint32_t prefixParent_ = kNoParent;
-    std::uint64_t prefixReuses_ = 0;
 };
 
 } // namespace core

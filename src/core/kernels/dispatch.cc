@@ -5,10 +5,7 @@
  * and ratio >= kBitmapRatio), galloping (ratio >= kGallopRatio) or
  * merging — vectorized variants when the SIMD tier is live and the
  * driving list clears kSimdMinSize — or obeys a forced KernelMode
- * for A/B runs.  Blocked merge is no longer selected by Auto: the
- * BENCH_kernels.json calibration sweep showed it losing to plain
- * merge on every row (speedup 0.56-0.90), the regression this
- * retune fixes.  Every path returns the canonical merge-equivalent
+ * for A/B runs.  Every path returns the canonical merge-equivalent
  * charge, so mode choice is invisible to the cost model.
  */
 
@@ -29,8 +26,6 @@ kernelKindName(KernelKind kind)
     switch (kind) {
       case KernelKind::Merge:
         return "merge";
-      case KernelKind::Blocked:
-        return "blocked";
       case KernelKind::Gallop:
         return "gallop";
       case KernelKind::Bitmap:

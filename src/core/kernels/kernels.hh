@@ -2,11 +2,10 @@
  * @file
  * Adaptive sorted-list set-kernel suite: the computational heart of
  * pattern-aware enumeration (every extension is an intersection of
- * active edge lists, §3.1).  Six interchangeable kernels implement
+ * active edge lists, §3.1).  Five interchangeable kernels implement
  * each set operation:
  *
  *   - Merge: the reference two-pointer merge (the modeled machine);
- *   - Blocked: an unrolled, branch-light merge for near-equal sizes;
  *   - Gallop: exponential-probe binary search driven by the smaller
  *     list, for skewed size ratios (hub vs. candidate lists);
  *   - Bitmap: per-element bit tests against a precomputed hub-vertex
@@ -74,14 +73,13 @@ using WorkItems = std::uint64_t;
 enum class KernelKind : std::uint8_t
 {
     Merge,      ///< reference two-pointer merge
-    Blocked,    ///< unrolled branch-light merge (near-equal sizes)
     Gallop,     ///< galloping binary search (skewed ratios)
     Bitmap,     ///< hub-vertex bitset probe (Graph::hubBitmapRow)
     SimdMerge,  ///< AVX2 shuffle-based block merge
     SimdGallop, ///< galloping search with vectorized landing window
 };
 
-inline constexpr std::size_t kNumKernelKinds = 6;
+inline constexpr std::size_t kNumKernelKinds = 5;
 
 /** Stable lowercase name ("merge", ..., "simd_merge", "simd_gallop"). */
 const char *kernelKindName(KernelKind kind);
@@ -212,13 +210,6 @@ bool containsBinary(std::span<const VertexId> list, VertexId v);
 
 /** @name Alternative kernels (dispatched; also exposed for bench) */
 /// @{
-WorkItems blockedIntersectInto(std::span<const VertexId> a,
-                               std::span<const VertexId> b,
-                               std::vector<VertexId> &out);
-WorkItems blockedIntersectCount(std::span<const VertexId> a,
-                                std::span<const VertexId> b,
-                                Count &count);
-
 /** Galloping kernels; @p a should be the smaller (driving) list. */
 WorkItems gallopIntersectInto(std::span<const VertexId> a,
                               std::span<const VertexId> b,
@@ -304,11 +295,10 @@ void simdBitmapFilter(std::span<const VertexId> a,
  * Retuned from the BENCH_kernels.json calibration sweep: gallop's
  * crossover against merge sits between ratio 4 (merge wins 1.15x)
  * and ratio 15 (gallop wins 1.7x), so the gallop threshold dropped
- * from 16 to 8; blocked lost to plain merge on every sweep row, so
- * Auto no longer selects it (the kernel stays for bench comparison).
- * On the skew branch Auto also prefers *scalar* gallop: the sweep
- * shows SimdGallop's vectorized landing window losing to the plain
- * binary narrow at every ratio >= kGallopRatio, so under Auto the
+ * from 16 to 8.  On the skew branch Auto also prefers *scalar*
+ * gallop: the sweep shows SimdGallop's vectorized landing window
+ * losing to the plain binary narrow at every ratio >= kGallopRatio,
+ * so under Auto the
  * SIMD tier engages only as SimdMerge (near-equal sizes) and the
  * word-parallel bitmap path; SimdGallop stays reachable through
  * KernelMode::Simd and the benchmarks.
@@ -318,8 +308,6 @@ void simdBitmapFilter(std::span<const VertexId> a,
 inline constexpr std::size_t kGallopRatio = 8;
 /** Bitmap (if a hub row exists) at this ratio and above. */
 inline constexpr std::size_t kBitmapRatio = 4;
-/** Blocked merge only when both lists have at least this many. */
-inline constexpr std::size_t kBlockedMinSize = 32;
 /** SIMD kernels engage when the driving list has at least this many
  *  elements (below this the vector setup outweighs the win). */
 inline constexpr std::size_t kSimdMinSize = 16;

@@ -2,8 +2,8 @@
  * @file
  * Reference two-pointer merge kernels (the modeled machine every
  * other kernel must match bit-for-bit in output and charge), the
- * closed-form canonical work computation, the blocked branch-light
- * merge, the many-list folds and the membership probe.
+ * closed-form canonical work computation, the many-list folds and
+ * the membership probe.
  */
 
 #include "core/kernels/kernels.hh"
@@ -112,69 +112,6 @@ subtractInto(std::span<const VertexId> a, std::span<const VertexId> b,
         }
     }
     return i + j;
-}
-
-WorkItems
-blockedIntersectInto(std::span<const VertexId> a,
-                     std::span<const VertexId> b,
-                     std::vector<VertexId> &out)
-{
-    out.clear();
-    const VertexId *pa = a.data();
-    const VertexId *pb = b.data();
-    const VertexId *const ea = pa + a.size();
-    const VertexId *const eb = pb + b.size();
-    // Each step advances each pointer by at most one, so a 4-wide
-    // block needs 4 elements of headroom on both sides.
-    while (pa + 4 <= ea && pb + 4 <= eb) {
-        for (int k = 0; k < 4; ++k) {
-            const VertexId va = *pa;
-            const VertexId vb = *pb;
-            if (va == vb)
-                out.push_back(va);
-            pa += va <= vb;
-            pb += vb <= va;
-        }
-    }
-    while (pa < ea && pb < eb) {
-        const VertexId va = *pa;
-        const VertexId vb = *pb;
-        if (va == vb)
-            out.push_back(va);
-        pa += va <= vb;
-        pb += vb <= va;
-    }
-    return static_cast<WorkItems>(pa - a.data())
-        + static_cast<WorkItems>(pb - b.data());
-}
-
-WorkItems
-blockedIntersectCount(std::span<const VertexId> a,
-                      std::span<const VertexId> b, Count &count)
-{
-    count = 0;
-    const VertexId *pa = a.data();
-    const VertexId *pb = b.data();
-    const VertexId *const ea = pa + a.size();
-    const VertexId *const eb = pb + b.size();
-    while (pa + 4 <= ea && pb + 4 <= eb) {
-        for (int k = 0; k < 4; ++k) {
-            const VertexId va = *pa;
-            const VertexId vb = *pb;
-            count += va == vb;
-            pa += va <= vb;
-            pb += vb <= va;
-        }
-    }
-    while (pa < ea && pb < eb) {
-        const VertexId va = *pa;
-        const VertexId vb = *pb;
-        count += va == vb;
-        pa += va <= vb;
-        pb += vb <= va;
-    }
-    return static_cast<WorkItems>(pa - a.data())
-        + static_cast<WorkItems>(pb - b.data());
 }
 
 namespace

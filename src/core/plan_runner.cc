@@ -1,7 +1,6 @@
 #include "core/plan_runner.hh"
 
 #include <array>
-#include <bit>
 #include <vector>
 
 #include "support/check.hh"
@@ -17,159 +16,47 @@ namespace
 /** Recursive interpreter state shared across levels. */
 struct Runner
 {
-    const Graph &g;
     const ExtendPlan &plan;
     MatchVisitor *visitor;
-    RunnerHooks *hooks;
     RunnerResult result;
 
-    /** vertices[i] = graph vertex matched at position i. */
-    std::array<VertexId, kMaxPatternSize> vertices{};
+    /** Baselines always run the adaptive dispatcher; charges are
+     *  canonical, so their workItems match the pre-kernel runner. */
+    PlanStep step;
 
     /** Candidate set each level was drawn from (VCS source). */
     std::array<std::vector<VertexId>, kMaxPatternSize> candidates{};
 
-    std::vector<VertexId> scratchA;
-    std::vector<VertexId> scratchB;
-    std::array<ListRef, kMaxPatternSize> listBuf{};
+    IepMasks iep;
 
-    /** Baselines always run the adaptive dispatcher; charges are
-     *  canonical, so their workItems match the pre-kernel runner. */
-    KernelDispatcher dispatcher;
-
-    explicit
     Runner(const Graph &graph, const ExtendPlan &p, MatchVisitor *vis,
-           RunnerHooks *hk)
-        : g(graph), plan(p), visitor(vis), hooks(hk),
-          dispatcher(KernelMode::Auto, &graph)
+           RunnerHooks *hooks)
+        : plan(p), visitor(vis),
+          step(graph, p, KernelMode::Auto, hooks)
     {}
 
-    std::span<const VertexId>
-    edgeList(VertexId v)
-    {
-        if (hooks)
-            hooks->onEdgeListAccess(v);
-        return g.neighbors(v);
-    }
-
-    /**
-     * Materialize the candidate set for position @p t into
-     * candidates[t] given matched positions 0..t-1.
-     */
     void
     buildCandidates(int t)
     {
-        const PlanLevel &level = plan.levels[t];
-        std::vector<VertexId> &out = candidates[t];
-        PositionMask dep = level.depMask;
-        if (level.reuseParent) {
-            // Vertical computation sharing: start from the parent's
-            // stored result instead of re-intersecting its deps.
-            out.assign(candidates[t - 1].begin(), candidates[t - 1].end());
-            dep = level.extraDepMask;
-        } else {
-            std::size_t lists = 0;
-            for (int j = 0; j < t; ++j)
-                if ((dep >> j) & 1u)
-                    listBuf[lists++] = {edgeList(vertices[j]),
-                                        vertices[j]};
-            if (lists == 1) {
-                // Aliasing one already-fetched edge list is free in
-                // the model (charging convention, kernels.hh).
-                out.assign(listBuf[0].list.begin(),
-                           listBuf[0].list.end());
-            } else {
-                result.workItems += dispatcher.intersectMany(
-                    {listBuf.data(), lists}, out, scratchA);
-            }
-            dep = 0;
-        }
-        // Extra deps of a reused result are folded in one by one.
-        for (int j = 0; j < t; ++j) {
-            if ((dep >> j) & 1u) {
-                scratchB.clear();
-                result.workItems += dispatcher.intersectInto(
-                    ListRef(out), {edgeList(vertices[j]), vertices[j]},
-                    scratchB);
-                out.swap(scratchB);
-            }
-        }
-        // Induced matching: remove neighbors of non-adjacent
-        // earlier positions.
-        const PositionMask anti = level.reuseParent ? level.extraAntiMask
-                                                    : level.antiMask;
-        for (int j = 0; j < t; ++j) {
-            if ((anti >> j) & 1u) {
-                scratchB.clear();
-                result.workItems += dispatcher.subtractInto(
-                    ListRef(out), {edgeList(vertices[j]), vertices[j]},
-                    scratchB);
-                out.swap(scratchB);
-            }
-        }
+        result.workItems +=
+            step.buildCandidates(t, candidates[t - 1], candidates[t]);
     }
 
-    /** Filters that are applied per candidate, not per set. */
     bool
     accept(int t, VertexId candidate)
     {
         ++result.candidatesChecked;
-        const PlanLevel &level = plan.levels[t];
-        if (level.hasLabelFilter && g.label(candidate) != level.labelFilter)
-            return false;
-        for (int j = 0; j < t; ++j) {
-            if (vertices[j] == candidate)
-                return false;
-            if (((level.greaterThanMask >> j) & 1u)
-                && candidate <= vertices[j])
-                return false;
-        }
-        return true;
+        return step.accept(t, candidate);
     }
 
     /** Terminal IEP block: count the suffix by inclusion-exclusion. */
     void
     terminalIep(int prefix_len)
     {
-        std::array<std::int64_t, 32> sizes{};
-        for (std::size_t m = 0; m < plan.iep.masks.size(); ++m) {
-            const PositionMask mask = plan.iep.masks[m];
-            const bool reuse = !plan.iep.maskReuse.empty()
-                && plan.iep.maskReuse[m] && prefix_len >= 2;
-            std::size_t lists = 0;
-            if (reuse) {
-                // Vertical sharing into the IEP block.
-                listBuf[lists++] = ListRef(candidates[prefix_len - 1]);
-                for (int j = 0; j < prefix_len; ++j)
-                    if ((plan.iep.maskExtra[m] >> j) & 1u)
-                        listBuf[lists++] = {edgeList(vertices[j]),
-                                            vertices[j]};
-            } else {
-                for (int j = 0; j < prefix_len; ++j)
-                    if ((mask >> j) & 1u)
-                        listBuf[lists++] = {edgeList(vertices[j]),
-                                            vertices[j]};
-            }
-            Count count = 0;
-            result.workItems += dispatcher.intersectManyCount(
-                {listBuf.data(), lists}, count, scratchA, scratchB);
-            std::int64_t size = static_cast<std::int64_t>(count);
-            // Candidate sets must exclude already-matched vertices.
-            for (int j = 0; j < prefix_len; ++j) {
-                bool inside = true;
-                for (std::size_t l = 0; l < lists && inside; ++l)
-                    inside = contains(listBuf[l].list, vertices[j]);
-                if (inside)
-                    --size;
-            }
-            sizes[m] = size;
-        }
-        for (const IepBlock::Term &term : plan.iep.terms) {
-            std::int64_t product = term.coefficient;
-            for (const int idx : term.maskIndex)
-                product *= sizes[idx];
-            result.rawCount += product;
-        }
+        step.iepMasks(prefix_len, candidates[prefix_len - 1], iep);
+        for (std::size_t m = 0; m < plan.iep.masks.size(); ++m)
+            result.workItems += iep.work[m];
+        result.rawCount += foldIep(plan.iep, iep.sizes);
     }
 
     /** Terminal without IEP: scan position n-1 candidates. */
@@ -183,8 +70,8 @@ struct Runner
                 continue;
             ++result.rawCount;
             if (visitor) {
-                vertices[t] = candidate;
-                visitor->match({vertices.data(),
+                step.vertices[t] = candidate;
+                visitor->match({step.vertices.data(),
                                 static_cast<std::size_t>(t + 1)});
             }
         }
@@ -214,7 +101,7 @@ struct Runner
             const VertexId candidate = candidates[t][i];
             if (!accept(t, candidate))
                 continue;
-            vertices[t] = candidate;
+            step.vertices[t] = candidate;
             recurse(t);
         }
     }
@@ -240,12 +127,12 @@ runPlanDfs(const Graph &g, const ExtendPlan &plan,
     for (const VertexId v : roots) {
         if (root.hasLabelFilter && g.label(v) != root.labelFilter)
             continue;
-        runner.vertices[0] = v;
+        runner.step.vertices[0] = v;
         if (n == 1) {
             ++runner.result.rawCount;
             ++runner.result.embeddingsVisited;
             if (visitor)
-                visitor->match({runner.vertices.data(), 1});
+                visitor->match({runner.step.vertices.data(), 1});
             continue;
         }
         runner.recurse(0);

@@ -5,8 +5,9 @@
  * and GraphPi compile to.  It backs the single-machine baselines
  * (AutomineIH, the Peregrine/Pangolin-like engines), the
  * replicated-graph GraphPi baseline, and the per-tree computation
- * of G-thinker; the distributed Khuzdul engine has its own chunked
- * interpreter in core/engine.hh.
+ * of G-thinker.  Only the recursion lives here: each loop level is
+ * core/extender's PlanStep, the same step the distributed engine's
+ * chunked explorer runs, so both paths charge identical work.
  */
 
 #ifndef KHUZDUL_CORE_PLAN_RUNNER_HH
@@ -14,7 +15,7 @@
 
 #include <span>
 
-#include "core/kernels/kernels.hh"
+#include "core/extender.hh"
 #include "core/visitor.hh"
 #include "graph/graph.hh"
 #include "pattern/plan.hh"
@@ -24,16 +25,6 @@ namespace khuzdul
 {
 namespace core
 {
-
-/** Observation hooks for baseline engines built on the runner. */
-class RunnerHooks
-{
-  public:
-    virtual ~RunnerHooks() = default;
-
-    /** The enumeration just read the edge list of @p v. */
-    virtual void onEdgeListAccess(VertexId v) { (void)v; }
-};
 
 /** Work and result counters of one runner invocation. */
 struct RunnerResult

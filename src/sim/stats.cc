@@ -296,9 +296,8 @@ RunStats::toJson(bool include_host) const
 {
     // Index order follows core::KernelKind.
     static const char *const kKernelNames[] = {
-        "merge", "blocked", "gallop",
-        "bitmap", "simd_merge", "simd_gallop"};
-    std::array<std::uint64_t, 6> kernel_totals{};
+        "merge", "gallop", "bitmap", "simd_merge", "simd_gallop"};
+    std::array<std::uint64_t, 5> kernel_totals{};
     for (const NodeStats &node : nodes)
         for (std::size_t k = 0; k < kernel_totals.size(); ++k)
             kernel_totals[k] += node.kernelCalls[k];

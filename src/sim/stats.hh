@@ -111,7 +111,7 @@ struct NodeStats
 
     /**
      * Set-operation executions per kernel, indexed by
-     * core::KernelKind (merge, blocked, gallop, bitmap, simd_merge,
+     * core::KernelKind (merge, gallop, bitmap, simd_merge,
      * simd_gallop).  A plain array keeps sim/ below core/ in the
      * layering (engine.cc static_asserts the size against
      * core::kNumKernelKinds); charges are canonical, so these
@@ -120,7 +120,7 @@ struct NodeStats
      * only in the host section of the JSON dump — the modeled dump
      * (toJson(false)) stays bit-identical across modes and builds.
      */
-    std::array<std::uint64_t, 6> kernelCalls{};
+    std::array<std::uint64_t, 5> kernelCalls{};
     /// @}
 
     /** Total modeled wall time of this node. */

@@ -87,11 +87,6 @@ expectKernelAgreement(std::span<const VertexId> a,
     EXPECT_EQ(core::intersectCount(a, b, count), work);
     EXPECT_EQ(count, ref.size());
 
-    EXPECT_EQ(core::blockedIntersectInto(a, b, out), work);
-    EXPECT_EQ(out, ref);
-    EXPECT_EQ(core::blockedIntersectCount(a, b, count), work);
-    EXPECT_EQ(count, ref.size());
-
     EXPECT_EQ(core::gallopIntersectInto(a, b, out), work);
     EXPECT_EQ(out, ref);
     EXPECT_EQ(core::gallopIntersectCount(a, b, count), work);
@@ -361,12 +356,10 @@ TEST(Kernels, DispatcherCountersAttributeKernels)
     }
 
     // Near-equal large lists: SIMD merge when the tier is live,
-    // plain merge otherwise (blocked was demoted from Auto — the
-    // calibration sweep showed it losing to merge on every row).
+    // plain merge otherwise.
     const auto a = randomList(500, 4096, 2);
     const auto b = randomList(500, 4096, 3);
     dispatcher.intersectInto(core::ListRef(a), core::ListRef(b), out);
-    EXPECT_EQ(dispatcher.counters()[core::KernelKind::Blocked], 0u);
     if (core::simdAvailable())
         EXPECT_EQ(dispatcher.counters()[core::KernelKind::SimdMerge],
                   1u);

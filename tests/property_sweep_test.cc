@@ -4,7 +4,8 @@
  * the distributed engine across the full configuration lattice
  * (cluster shape x chunk budget x cache policy x sharing switches),
  * cross-engine agreement over a pattern zoo, and plan-compiler
- * invariants over random patterns.
+ * invariants over random patterns (including work equivalence of
+ * the chunked engine and the DFS runner, which share one plan step).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/engine.hh"
+#include "core/plan_runner.hh"
 #include "core/service/service.hh"
 #include "engines/graphpi_rep.hh"
 #include "engines/gthinker.hh"
@@ -223,6 +225,40 @@ TEST_P(RandomPatternPlans, RestrictionCountTimesAutEqualsOrdered)
         iso::automorphisms(p).size());
     EXPECT_EQ(strict_run.rawCount * aut, free_run.rawCount)
         << p.toString();
+}
+
+TEST_P(RandomPatternPlans, EngineAndRunnerChargeTheSameWork)
+{
+    // Both execution paths drive the same plan step, so the chunked
+    // engine's summed intersection work equals the DFS runner's over
+    // all roots, and their raw counts agree exactly.
+    const Pattern p = randomConnectedPattern(9000 + GetParam());
+    const Graph &g = sweepGraph();
+    const GraphProfile profile = GraphProfile::fromGraph(g);
+    std::vector<VertexId> roots(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        roots[v] = v;
+    for (const bool induced : {false, true}) {
+        PlanOptions options;
+        options.induced = induced;
+        for (const ExtendPlan &plan :
+             {compileAutomine(p, options),
+              compileGraphPi(p, profile, options)}) {
+            const core::RunnerResult run =
+                core::runPlanDfs(g, plan, roots);
+            core::Engine engine(g, core::EngineConfig{});
+            const Count count = engine.run(plan);
+            std::uint64_t items = 0;
+            for (const sim::NodeStats &node : engine.stats().nodes)
+                items += node.intersectionItems;
+            EXPECT_EQ(items, run.workItems)
+                << p.toString() << " induced=" << induced;
+            EXPECT_EQ(static_cast<std::int64_t>(count)
+                          * plan.countDivisor,
+                      run.rawCount)
+                << p.toString() << " induced=" << induced;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPatternPlans,

@@ -1,14 +1,17 @@
 /**
  * @file
  * Tests for the DFS plan runner and the brute-force oracle itself:
- * closed-form counts on structured graphs, visitor semantics, and
- * work accounting.
+ * closed-form counts on structured graphs, visitor semantics, work
+ * accounting, and the plan step's overflow-checked IEP fold.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
+#include "core/extender.hh"
 #include "core/plan_runner.hh"
 #include "graph/generators.hh"
 #include "pattern/bruteforce.hh"
@@ -199,6 +202,66 @@ TEST(Runner, PartialRootsCoverSubsetOfTrees)
     const auto partial = core::runPlanDfs(g, plan, half);
     EXPECT_LT(partial.rawCount, full.rawCount);
     EXPECT_GT(partial.rawCount, 0);
+}
+
+/** An IEP block of one @p coefficient x prod(sizes[maskIndex]) term
+ *  per entry of @p terms. */
+IepBlock
+iepOf(std::initializer_list<IepBlock::Term> terms)
+{
+    IepBlock iep;
+    iep.terms.assign(terms);
+    return iep;
+}
+
+std::string
+foldError(const IepBlock &iep, std::span<const std::int64_t> sizes)
+{
+    try {
+        core::foldIep(iep, sizes);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(PlanStep, IepFoldJustBelowInt64LimitIsExact)
+{
+    // floor(sqrt(2^63 - 1)) = 3037000499: the square still fits.
+    const std::int64_t root = 3037000499;
+    const std::array<std::int64_t, 2> sizes{root, root};
+    EXPECT_EQ(core::foldIep(iepOf({{1, {0, 1}}}), sizes),
+              root * root);
+    // Two terms summing to exactly INT64_MAX, one to INT64_MIN.
+    const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    const std::array<std::int64_t, 2> halves{max / 2, max / 2 + 1};
+    EXPECT_EQ(core::foldIep(iepOf({{1, {0}}, {1, {1}}}), halves), max);
+    EXPECT_EQ(core::foldIep(iepOf({{-1, {0}}, {-1, {1}}, {-1, {}}}),
+                            halves),
+              std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(PlanStep, IepFoldOverflowRaisesFatalErrorNamingTheTerm)
+{
+    const std::int64_t root = 3037000500; // root^2 > INT64_MAX
+    const std::array<std::int64_t, 2> sizes{root, root};
+    // Product overflow in the second term.
+    const IepBlock product = iepOf({{1, {0}}, {1, {0, 1}}});
+    EXPECT_THROW(core::foldIep(product, sizes), FatalError);
+    EXPECT_NE(foldError(product, sizes).find("IEP term 1"),
+              std::string::npos);
+    // The coefficient multiply overflows too, not only the sizes.
+    const std::array<std::int64_t, 1> big{
+        std::numeric_limits<std::int64_t>::max() / 2 + 1};
+    EXPECT_NE(foldError(iepOf({{2, {0}}}), big).find("IEP term 0"),
+              std::string::npos);
+    // Each term fits; their sum does not.
+    const std::array<std::int64_t, 2> halves{
+        std::numeric_limits<std::int64_t>::max() / 2 + 1,
+        std::numeric_limits<std::int64_t>::max() / 2 + 1};
+    EXPECT_NE(foldError(iepOf({{1, {0}}, {1, {1}}}), halves)
+                  .find("IEP term 1"),
+              std::string::npos);
 }
 
 } // namespace
