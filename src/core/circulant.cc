@@ -111,19 +111,6 @@ CirculantScheduler::issue(sim::TransferRecorder &recorder,
     return true;
 }
 
-bool
-CirculantScheduler::issue(sim::Fabric &fabric, sim::RunStats &run,
-                          sim::TraceSink &trace, int level)
-{
-    std::vector<std::uint64_t> sent(numUnits_, 0);
-    const bool ok =
-        issue(static_cast<sim::TransferRecorder &>(fabric),
-              run.nodes[unit_], sent, trace, level);
-    for (unsigned owner = 0; owner < numUnits_; ++owner)
-        run.nodes[owner].bytesSent += sent[owner];
-    return ok;
-}
-
 CirculantScheduler::Timeline
 CirculantScheduler::foldPipeline(unsigned cores, double penalty,
                                  double Batch::*comm_field) const

@@ -120,11 +120,6 @@ class CirculantScheduler
                sim::FaultSession *faults = nullptr,
                const sim::CostModel *cost = nullptr);
 
-    /** Convenience overload writing straight into the fabric and
-     *  @p run (requester stats + owners' bytesSent). */
-    bool issue(sim::Fabric &fabric, sim::RunStats &run,
-               sim::TraceSink &trace, int level);
-
     /** Attribute @p work_ns of extension work to @p idx's batch. */
     void
     chargeWork(std::uint32_t idx, double work_ns)

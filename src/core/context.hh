@@ -7,11 +7,10 @@
  * backing the bitmap kernel, the planner's degree profile, the
  * degree-oriented DAG of the Pangolin-style baseline, the
  * cross-query residency directory and the cumulative traffic
- * ledger.  Before this type existed each `Engine` owned all of it,
- * tied to one `EngineConfig`, so concurrent queries could not
- * amortize anything.  Now one GraphContext is built per resident
- * graph and any number of per-query `Engine` sessions — and the
- * `core/service` QueryService scheduling them — share it.
+ * ledger.  One GraphContext is built per resident graph and shared
+ * by any number of per-query `Engine` sessions — and the
+ * `core/service` QueryService scheduling them — so concurrent
+ * queries amortize it.
  *
  * Determinism scope (DESIGN.md §10): everything a session *charges*
  * (cache probe time, fetch bytes, its fabric ledger) runs against
@@ -81,10 +80,13 @@ struct GraphSetup
      *  placement (remote-socket DRAM on ~half the accesses). */
     double numaComputePenalty = 1.45;
 
-    /** Hub-bitmap admission degree threshold (§5.3-aligned). */
+    /** Hub-bitmap admission degree threshold, aligned with the
+     *  static cache's §5.3 threshold: the same hot vertices whose
+     *  lists are cached everywhere get dense bitsets. */
     EdgeId hubBitmapDegreeThreshold = 32;
 
-    /** Byte cap on hub bitmap rows; 0 disables the bitmap kernel. */
+    /** Byte cap on hub bitmap rows (hottest-first admission);
+     *  0 disables the bitmap kernel entirely. */
     std::uint64_t hubBitmapMaxBytes = 32ull << 20;
 };
 

@@ -58,8 +58,8 @@ class HybridExplorer
                       : engine.faultSessions_[unit].get()),
           extender_(*engine.graph_, plan, engine.config_.cost,
                     engine.config_.kernelMode),
-          cores_(engine.computeCoresPerUnit()),
-          deadlineNs_(engine.session_.deadlineNs),
+          cores_(engine.context_->computeCoresPerUnit()),
+          deadlineNs_(engine.config_.deadlineNs),
           deadlineStartNs_(stats.totalNs()),
           cancel_(engine.cancel_)
     {
@@ -394,76 +394,6 @@ class HybridExplorer
     std::int64_t raw_ = 0;
 };
 
-GraphSetup
-EngineConfig::graphSetup() const
-{
-    GraphSetup setup;
-    setup.cluster = cluster;
-    setup.cost = cost;
-    setup.cachePolicy = cachePolicy;
-    setup.cacheFraction = cacheFraction;
-    setup.cacheDegreeThreshold = cacheDegreeThreshold;
-    setup.horizontalSharing = horizontalSharing;
-    setup.horizontalSlots = horizontalSlots;
-    setup.numaAware = numaAware;
-    setup.numaComputePenalty = numaComputePenalty;
-    setup.hubBitmapDegreeThreshold = hubBitmapDegreeThreshold;
-    setup.hubBitmapMaxBytes = hubBitmapMaxBytes;
-    return setup;
-}
-
-SessionConfig
-EngineConfig::session() const
-{
-    SessionConfig session;
-    session.chunkBytes = chunkBytes;
-    session.miniBatchSize = miniBatchSize;
-    session.kernelMode = kernelMode;
-    session.hostThreads = hostThreads;
-    session.faults = faults;
-    session.stealEnabled = stealEnabled;
-    session.stealBacklogThresholdNs = stealBacklogThresholdNs;
-    session.deadlineNs = deadlineNs;
-    session.checkpointEnabled = checkpointEnabled;
-    session.maxQueryRetries = maxQueryRetries;
-    return session;
-}
-
-namespace
-{
-
-/** The flat view HybridExplorer and accessors read: graph half from
- *  the context, query half from the session. */
-EngineConfig
-composeConfig(const GraphSetup &setup, const SessionConfig &session)
-{
-    EngineConfig config;
-    config.cluster = setup.cluster;
-    config.cost = setup.cost;
-    config.cachePolicy = setup.cachePolicy;
-    config.cacheFraction = setup.cacheFraction;
-    config.cacheDegreeThreshold = setup.cacheDegreeThreshold;
-    config.horizontalSharing = setup.horizontalSharing;
-    config.horizontalSlots = setup.horizontalSlots;
-    config.numaAware = setup.numaAware;
-    config.numaComputePenalty = setup.numaComputePenalty;
-    config.hubBitmapDegreeThreshold = setup.hubBitmapDegreeThreshold;
-    config.hubBitmapMaxBytes = setup.hubBitmapMaxBytes;
-    config.chunkBytes = session.chunkBytes;
-    config.miniBatchSize = session.miniBatchSize;
-    config.kernelMode = session.kernelMode;
-    config.hostThreads = session.hostThreads;
-    config.faults = session.faults;
-    config.stealEnabled = session.stealEnabled;
-    config.stealBacklogThresholdNs = session.stealBacklogThresholdNs;
-    config.deadlineNs = session.deadlineNs;
-    config.checkpointEnabled = session.checkpointEnabled;
-    config.maxQueryRetries = session.maxQueryRetries;
-    return config;
-}
-
-} // namespace
-
 Engine::Engine(const Graph &g, const EngineConfig &config)
     : Engine(std::make_unique<GraphContext>(g, config.graphSetup()),
              nullptr, config.session())
@@ -477,8 +407,8 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
                GraphContext *context, const SessionConfig &session)
     : ownedContext_(std::move(owned)),
       context_(ownedContext_ ? ownedContext_.get() : context),
-      graph_(&context_->graph()), session_(session),
-      config_(composeConfig(context_->setup(), session)),
+      graph_(&context_->graph()),
+      config_{context_->setup(), session},
       partition_(context_->partition()),
       fabric_(partition_, config_.cost)
 {
@@ -512,15 +442,6 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
 }
 
 Engine::~Engine() = default;
-
-unsigned
-Engine::computeCoresPerUnit() const
-{
-    const unsigned per_node = config_.cluster.computeCoresPerNode();
-    if (!config_.numaAware)
-        return per_node;
-    return std::max(1u, per_node / config_.cluster.socketsPerNode);
-}
 
 Count
 Engine::run(const ExtendPlan &plan)
@@ -566,13 +487,13 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
     // Per-unit donation ledgers for the post-barrier steal pass
     // (DESIGN.md §11); each unit appends only to its own slot.
     std::vector<std::vector<ChunkRecord>> stealLedgers(
-        session_.stealEnabled ? units : 0);
+        config_.stealEnabled ? units : 0);
     // Per-unit crash reports for the post-barrier recovery pass
     // (DESIGN.md §9); chunkOrdinal == 0 marks an untouched slot.
     // A crash plan implies checkpointing; checkpointEnabled alone
     // arms the barriers (to measure fault-free overhead) without
     // any crash ever firing.
-    const bool recovery_armed = session_.checkpointEnabled
+    const bool recovery_armed = config_.checkpointEnabled
         || config_.faults.hasCrash();
     std::vector<CrashReport> crashReports(
         recovery_armed ? units : 0);
@@ -582,7 +503,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         HybridExplorer explorer(
             *this, static_cast<unsigned>(u), plan, visitor,
             stats_.nodes[u], deltas[u], sent[u], *unitSinks_[u],
-            session_.stealEnabled ? &stealLedgers[u] : nullptr,
+            config_.stealEnabled ? &stealLedgers[u] : nullptr,
             recovery_armed ? &crashReports[u] : nullptr);
         raws[u] = explorer.run();
     };
@@ -672,7 +593,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
     // the stolen schedule is the same pure function of the config
     // the rest of the modeled machine is.  Counts are never
     // touched — only modeled time, traffic and attribution move.
-    if (session_.stealEnabled && units > 1) {
+    if (config_.stealEnabled && units > 1) {
         std::vector<double> finish(units, 0);
         for (unsigned u = 0; u < units; ++u)
             finish[u] = stats_.nodes[u].totalNs();
@@ -684,7 +605,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
             finish[r.unit] = std::numeric_limits<double>::infinity();
         }
         const StealPlanner planner(
-            fabric_, session_.stealBacklogThresholdNs);
+            fabric_, config_.stealBacklogThresholdNs);
         const auto decisions =
             planner.plan(std::move(stealLedgers), std::move(finish));
         const double handshake = config_.cost.stealHandshakeNs;

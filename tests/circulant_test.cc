@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/circulant.hh"
 #include "graph/generators.hh"
 #include "graph/partition.hh"
@@ -46,8 +49,8 @@ TEST(Circulant, IssueAttributesTrafficBothWays)
     const Partition partition(g, 4, 1);
     const sim::CostModel cost;
     sim::Fabric fabric(partition, cost);
-    sim::RunStats run;
-    run.nodes.resize(4);
+    sim::NodeStats stats;
+    std::vector<std::uint64_t> sent(4, 0);
     sim::CountingTraceSink trace;
 
     core::CirculantScheduler sched(0, 4, 1);
@@ -55,15 +58,15 @@ TEST(Circulant, IssueAttributesTrafficBothWays)
     sched.noteRemote(0, 1, 100);
     sched.noteRemote(1, 1, 50);
     sched.noteRemote(2, 3, 10);
-    sched.issue(fabric, run, trace, 0);
+    sched.issue(fabric, stats, sent, trace, 0);
 
     // Receiver side: everything lands on unit 0.
-    EXPECT_EQ(run.nodes[0].bytesReceived, 160u);
-    EXPECT_EQ(run.nodes[0].messagesSent, 2u); // one batch per owner
-    EXPECT_EQ(run.nodes[0].listsFetchedRemote, 3u);
+    EXPECT_EQ(stats.bytesReceived, 160u);
+    EXPECT_EQ(stats.messagesSent, 2u); // one batch per owner
+    EXPECT_EQ(stats.listsFetchedRemote, 3u);
     // Send side is attributed to the owning units.
-    EXPECT_EQ(run.nodes[1].bytesSent, 150u);
-    EXPECT_EQ(run.nodes[3].bytesSent, 10u);
+    EXPECT_EQ(sent[1], 150u);
+    EXPECT_EQ(sent[3], 10u);
     // The fabric ledger sees the same per-link volumes.
     EXPECT_EQ(fabric.linkBytes(0, 1), 150u);
     EXPECT_EQ(fabric.linkBytes(0, 3), 10u);
@@ -82,15 +85,15 @@ TEST(Circulant, SameNodeBatchesAreNotNetworkTraffic)
     const Partition partition(g, 2, 2);
     const sim::CostModel cost;
     sim::Fabric fabric(partition, cost);
-    sim::RunStats run;
-    run.nodes.resize(4);
+    sim::NodeStats stats;
+    std::vector<std::uint64_t> sent(4, 0);
 
     core::CirculantScheduler sched(0, 4, 2);
     sched.begin(1);
     sched.noteRemote(0, 1, 512);
-    sched.issue(fabric, run, sim::nullTraceSink(), 0);
-    EXPECT_EQ(run.nodes[0].bytesReceived, 0u);
-    EXPECT_EQ(run.nodes[1].bytesSent, 0u);
+    sched.issue(fabric, stats, sent, sim::nullTraceSink(), 0);
+    EXPECT_EQ(stats.bytesReceived, 0u);
+    EXPECT_EQ(sent[1], 0u);
     EXPECT_EQ(fabric.totalBytes(), 0u);
 }
 
@@ -100,15 +103,15 @@ TEST(Circulant, PipelineOverlapsCommWithCompute)
     const Partition partition(g, 3, 1);
     const sim::CostModel cost;
     sim::Fabric fabric(partition, cost);
-    sim::RunStats run;
-    run.nodes.resize(3);
+    sim::NodeStats stats;
+    std::vector<std::uint64_t> sent(3, 0);
 
     core::CirculantScheduler sched(0, 3, 1);
     sched.begin(2);
     // Embedding 0 stays local (slot 0); embedding 1 fetches from
     // unit 1.
     sched.noteRemote(1, 1, 1024);
-    sched.issue(fabric, run, sim::nullTraceSink(), 0);
+    sched.issue(fabric, stats, sent, sim::nullTraceSink(), 0);
     sched.chargeWork(0, 100);
     sched.chargeWork(1, 200);
 
@@ -129,13 +132,13 @@ TEST(Circulant, PenaltyScalesBothPaths)
     const Partition partition(g, 2, 1);
     const sim::CostModel cost;
     sim::Fabric fabric(partition, cost);
-    sim::RunStats run;
-    run.nodes.resize(2);
+    sim::NodeStats stats;
+    std::vector<std::uint64_t> sent(2, 0);
 
     core::CirculantScheduler sched(0, 2, 1);
     sched.begin(1);
     sched.noteRemote(0, 1, 256);
-    sched.issue(fabric, run, sim::nullTraceSink(), 0);
+    sched.issue(fabric, stats, sent, sim::nullTraceSink(), 0);
     sched.chargeWork(0, 300);
 
     const auto base = sched.pipeline(1, 1.0);
@@ -150,13 +153,13 @@ TEST(Circulant, BeginClearsLedgers)
     const Partition partition(g, 2, 1);
     const sim::CostModel cost;
     sim::Fabric fabric(partition, cost);
-    sim::RunStats run;
-    run.nodes.resize(2);
+    sim::NodeStats stats;
+    std::vector<std::uint64_t> sent(2, 0);
 
     core::CirculantScheduler sched(0, 2, 1);
     sched.begin(1);
     sched.noteRemote(0, 1, 4096);
-    sched.issue(fabric, run, sim::nullTraceSink(), 0);
+    sched.issue(fabric, stats, sent, sim::nullTraceSink(), 0);
     sched.chargeWork(0, 1000);
 
     sched.begin(1);

@@ -296,6 +296,59 @@ TEST(Engine, ClearCachesRestoresColdStart)
     EXPECT_EQ(engine.stats().toJson(false), cold_json);
 }
 
+TEST(Engine, FlatConfigMatchesContextPlusSession)
+{
+    // Engine(g, cfg) must be exactly Engine(GraphContext(g,
+    // cfg.graphSetup()), cfg.session()).  Every tunable of both
+    // halves is moved off its default, so a field lost on either
+    // construction path shows up in the count, the modeled dump or
+    // the trace tallies.
+    const Graph g = gen::rmat(400, 4000, 0.65, 0.15, 0.15, 43);
+    core::EngineConfig cfg;
+    cfg.cluster = sim::ClusterConfig::paperDefault(4);
+    cfg.cost.chunkSetupNs *= 2;
+    cfg.cachePolicy = core::CachePolicy::Lru;
+    cfg.cacheFraction = 0.3;
+    cfg.cacheDegreeThreshold = 8;
+    cfg.horizontalSharing = false;
+    cfg.horizontalSlots = 1 << 10;
+    cfg.numaAware = false;
+    cfg.numaComputePenalty = 1.7;
+    cfg.hubBitmapDegreeThreshold = 16;
+    cfg.hubBitmapMaxBytes = 1 << 20;
+    cfg.chunkBytes = 8 << 10;
+    cfg.miniBatchSize = 16;
+    cfg.kernelMode = core::KernelMode::Gallop;
+    cfg.hostThreads = 2;
+    cfg.faults.add("degrade:*-*:factor=3:from=0");
+    cfg.stealEnabled = true;
+    cfg.stealBacklogThresholdNs = 1.0e3;
+    cfg.deadlineNs = 1.0e15;
+    cfg.checkpointEnabled = true;
+    cfg.maxQueryRetries = 2;
+    const auto plan = compileAutomine(Pattern::clique(4), {});
+
+    core::Engine flat(g, cfg);
+    const Count count = flat.run(plan);
+    core::GraphContext context(g, cfg.graphSetup());
+    core::Engine split(context, cfg.session());
+    EXPECT_EQ(split.run(plan), count);
+    EXPECT_EQ(split.stats().toJson(false), flat.stats().toJson(false));
+    for (std::size_t e = 0; e < sim::kNumPhaseEvents; ++e) {
+        const auto event = static_cast<sim::PhaseEvent>(e);
+        EXPECT_EQ(split.traceCounts().count(event),
+                  flat.traceCounts().count(event));
+        EXPECT_EQ(split.traceCounts().valueSum(event),
+                  flat.traceCounts().valueSum(event));
+    }
+
+    // Non-vacuous: the tunables reached the run.
+    EXPECT_GT(flat.traceCounts().count(sim::PhaseEvent::Checkpoint), 0u);
+    core::Engine defaults(g, core::EngineConfig{});
+    EXPECT_EQ(defaults.run(plan), count);
+    EXPECT_NE(defaults.stats().toJson(false), flat.stats().toJson(false));
+}
+
 TEST(Engine, SingleNodeHasNoNetworkTraffic)
 {
     const Graph g = testGraph();

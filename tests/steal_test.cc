@@ -207,14 +207,14 @@ TEST(BasePipeline, MatchesPipelineOnAHealthyFabric)
     const Partition partition(g, 2, 1);
     const sim::CostModel cost;
     sim::Fabric fabric(partition, cost);
-    sim::RunStats run;
-    run.nodes.resize(2);
+    sim::NodeStats stats;
+    std::vector<std::uint64_t> sent(2, 0);
 
     core::CirculantScheduler sched(0, 2, 1);
     sched.begin(2);
     sched.noteRemote(0, 1, 1024);
     sched.noteRemote(1, 1, 2048);
-    sched.issue(fabric, run, sim::nullTraceSink(), 0);
+    sched.issue(fabric, stats, sent, sim::nullTraceSink(), 0);
     sched.chargeWork(0, 500);
     sched.chargeWork(1, 700);
 
