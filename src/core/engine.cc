@@ -394,17 +394,20 @@ class HybridExplorer
     std::int64_t raw_ = 0;
 };
 
-Engine::Engine(const Graph &g, const EngineConfig &config)
+Engine::Engine(const Graph &g, const EngineConfig &config,
+               std::size_t trace_block_records)
     : Engine(std::make_unique<GraphContext>(g, config.graphSetup()),
-             nullptr, config.session())
+             nullptr, config.session(), trace_block_records)
 {}
 
 Engine::Engine(GraphContext &context, const SessionConfig &session)
-    : Engine(nullptr, &context, session)
+    : Engine(nullptr, &context, session,
+             sim::BufferingTraceSink::kBlockRecords)
 {}
 
 Engine::Engine(std::unique_ptr<GraphContext> owned,
-               GraphContext *context, const SessionConfig &session)
+               GraphContext *context, const SessionConfig &session,
+               std::size_t trace_block_records)
     : ownedContext_(std::move(owned)),
       context_(ownedContext_ ? ownedContext_.get() : context),
       graph_(&context_->graph()),
@@ -423,7 +426,8 @@ Engine::Engine(std::unique_ptr<GraphContext> owned,
     const std::uint64_t per_unit = context_->cacheBytesPerUnit();
     for (unsigned u = 0; u < partition_.numUnits(); ++u) {
         unitSinks_.push_back(
-            std::make_unique<sim::BufferingTraceSink>());
+            std::make_unique<sim::BufferingTraceSink>(
+                trace_block_records));
         caches_.push_back(std::make_unique<DataCache>(
             g, config_.cachePolicy, per_unit,
             config_.cacheDegreeThreshold));
@@ -472,7 +476,7 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
 
     // Per-unit isolation (§6): each unit journals fabric transfers
     // in a delta, attributes send-side bytes to a private ledger,
-    // traces into its own buffering sink and writes doubles only
+    // traces into its own sink and writes doubles only
     // into its own NodeStats slot.  The same journals are used at
     // every thread count — including 1 — and merged in unit order
     // below, so modeled results are a pure function of the config,
@@ -498,8 +502,12 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
     std::vector<CrashReport> crashReports(
         recovery_armed ? units : 0);
 
+    // Units record trace events only when a user sink will see
+    // them; otherwise their sinks just tally.
+    const bool recording = tracer_.secondary() != nullptr;
     const auto run_unit = [&](std::size_t u) {
-        unitSinks_[u]->clear(); // drop leftovers of a failed run
+        // Drops leftovers of a failed run.
+        unitSinks_[u]->clear(recording);
         HybridExplorer explorer(
             *this, static_cast<unsigned>(u), plan, visitor,
             stats_.nodes[u], deltas[u], sent[u], *unitSinks_[u],
@@ -523,12 +531,12 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         pool_->run(units, run_unit);
     }
 
-    // Ordered merge: replay each unit's trace buffer, fabric delta
+    // Ordered merge: drain each unit's trace sink, fabric delta
     // (a configured byte cap throws here, in the same unit order it
     // would have sequentially) and send-side byte attribution.
     std::int64_t raw = 0;
     for (unsigned u = 0; u < units; ++u) {
-        unitSinks_[u]->flushTo(tracer_);
+        unitSinks_[u]->drainInto(traceCounts_, tracer_);
         fabric_.apply(deltas[u]);
         for (unsigned o = 0; o < units; ++o)
             stats_.nodes[o].bytesSent += sent[u][o];

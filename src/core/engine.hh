@@ -181,8 +181,12 @@ class Engine
   public:
     /** Single-query convenience: builds a private GraphContext from
      *  @p config's graph half and a session from its query half.
-     *  Exactly equivalent to the two-step form. */
-    Engine(const Graph &g, const EngineConfig &config);
+     *  Exactly equivalent to the two-step form.
+     *  @p trace_block_records sizes each unit's in-memory trace
+     *  block (tests pass a few records to force spills). */
+    Engine(const Graph &g, const EngineConfig &config,
+           std::size_t trace_block_records =
+               sim::BufferingTraceSink::kBlockRecords);
 
     /** A query session over a shared (possibly concurrent) context.
      *  @p context must outlive the engine. */
@@ -221,6 +225,9 @@ class Engine
     /**
      * Install a phase-event sink observing every layer (nullptr
      * uninstalls).  Tracing never changes results or modeled time.
+     * Without a sink the units only tally events; with one, each
+     * unit holds one trace block in memory and spills the rest to
+     * a temp file until the ordered merge replays it.
      */
     void setTraceSink(sim::TraceSink *sink) { tracer_.secondary(sink); }
 
@@ -288,7 +295,7 @@ class Engine
                          double handshake_ns);
 
     Engine(std::unique_ptr<GraphContext> owned, GraphContext *context,
-           const SessionConfig &session);
+           const SessionConfig &session, std::size_t trace_block_records);
 
     /** Non-null iff this engine was built from an EngineConfig and
      *  owns its context. */
@@ -310,8 +317,10 @@ class Engine
      *  when config_.faults is); reset alongside the ledger. */
     std::vector<std::unique_ptr<sim::FaultSession>> faultSessions_;
 
-    /** Per-unit event buffers flushed into tracer_ in unit order
-     *  after each run, reproducing the sequential trace stream. */
+    /** Per-unit trace sinks drained into traceCounts_/tracer_ in
+     *  unit order after each run.  They record events (reproducing
+     *  the sequential stream) only while a user sink is installed,
+     *  and otherwise just tally. */
     std::vector<std::unique_ptr<sim::BufferingTraceSink>> unitSinks_;
 
     /** Host worker pool, created lazily on the first parallel run

@@ -1,5 +1,6 @@
 #include "sim/trace.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "support/check.hh"
@@ -76,6 +77,72 @@ CountingTraceSink::reset()
 {
     counts_.fill(0);
     values_.fill(0);
+}
+
+void
+CountingTraceSink::add(const CountingTraceSink &other)
+{
+    for (std::size_t e = 0; e < kNumPhaseEvents; ++e) {
+        counts_[e] += other.counts_[e];
+        values_[e] += other.values_[e];
+    }
+}
+
+BufferingTraceSink::BufferingTraceSink(std::size_t block_records)
+    : blockRecords_(block_records)
+{
+    KHUZDUL_REQUIRE(block_records > 0, "trace block must hold a record");
+}
+
+void
+BufferingTraceSink::clear(bool record)
+{
+    recording_ = record;
+    tallies_.reset();
+    std::vector<TraceRecord>().swap(block_);
+    spillFile_.reset();
+    spilled_ = 0;
+}
+
+void
+BufferingTraceSink::spill()
+{
+    if (!spillFile_) {
+        spillFile_.reset(std::tmpfile());
+        KHUZDUL_REQUIRE(spillFile_, "cannot create a trace spill file");
+    }
+    const std::size_t n = block_.size();
+    KHUZDUL_REQUIRE(std::fwrite(block_.data(), sizeof(TraceRecord), n,
+                                spillFile_.get()) == n,
+                    "trace spill write failed");
+    spilled_ += n;
+    block_.clear();
+}
+
+void
+BufferingTraceSink::drainInto(CountingTraceSink &counts, TraceSink &stream)
+{
+    counts.add(tallies_);
+    if (spillFile_) {
+        // Spill the tail too, then stream the file back one block at
+        // a time through the same storage.
+        spill();
+        std::rewind(spillFile_.get());
+        for (std::size_t left = spilled_; left > 0;) {
+            const std::size_t n = std::min(left, blockRecords_);
+            block_.resize(n);
+            KHUZDUL_REQUIRE(std::fread(block_.data(), sizeof(TraceRecord),
+                                       n, spillFile_.get()) == n,
+                            "trace spill read failed");
+            for (const TraceRecord &record : block_)
+                stream.emit(record);
+            left -= n;
+        }
+    } else {
+        for (const TraceRecord &record : block_)
+            stream.emit(record);
+    }
+    clear(recording_);
 }
 
 void

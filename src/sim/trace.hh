@@ -18,7 +18,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <iosfwd>
+#include <memory>
 #include <vector>
 
 namespace khuzdul
@@ -130,45 +132,75 @@ class CountingTraceSink final : public TraceSink
 
     void reset();
 
+    /** Add @p other's tallies into this sink's. */
+    void add(const CountingTraceSink &other);
+
   private:
     std::array<std::uint64_t, kNumPhaseEvents> counts_{};
     std::array<std::uint64_t, kNumPhaseEvents> values_{};
 };
 
 /**
- * Buffers events in arrival order for a deferred, ordered replay.
- * The engine gives every execution unit one of these so units can
- * trace from concurrent host threads without interleaving; after
- * the barrier the buffers are flushed into the real sink in unit
- * order, reproducing the sequential event stream byte for byte.
+ * One execution unit's trace sink, with memory proportional to what
+ * is observed.  The engine gives every unit one so units can trace
+ * from concurrent host threads without interleaving; after the
+ * barrier it drains them in unit order.
+ *
+ * A tallying sink keeps only per-event counts and value sums
+ * (constant memory).  A recording sink keeps the events themselves:
+ * they fill one fixed-size block, and a full block is appended to an
+ * anonymous temp file.  drainInto() replays the file and then the
+ * block in arrival order, reproducing the sequential event stream
+ * byte for byte with at most one block resident per unit.
  */
 class BufferingTraceSink final : public TraceSink
 {
   public:
+    /** Default block size: 4096 records, 128 KiB. */
+    static constexpr std::size_t kBlockRecords = 4096;
+
+    /** @param block_records records held in memory before a spill
+     *  (tests pass a few to force spills). */
+    explicit BufferingTraceSink(std::size_t block_records = kBlockRecords);
+
     void
     emit(const TraceRecord &record) override
     {
-        records_.push_back(record);
+        if (!recording_) {
+            tallies_.emit(record);
+            return;
+        }
+        if (block_.size() == blockRecords_)
+            spill();
+        block_.push_back(record);
     }
 
-    /** Buffered events not yet flushed. */
-    std::size_t size() const { return records_.size(); }
+    /** Drop everything tallied, buffered or spilled and release its
+     *  memory; from now on record events iff @p record, else only
+     *  tally them. */
+    void clear(bool record = false);
 
-    bool empty() const { return records_.empty(); }
-
-    void clear() { records_.clear(); }
-
-    /** Replay every buffered event into @p sink, then clear. */
-    void
-    flushTo(TraceSink &sink)
-    {
-        for (const TraceRecord &record : records_)
-            sink.emit(record);
-        records_.clear();
-    }
+    /**
+     * Add the tallies into @p counts and replay the recorded events
+     * into @p stream in arrival order; then clear, keeping the mode.
+     */
+    void drainInto(CountingTraceSink &counts, TraceSink &stream);
 
   private:
-    std::vector<TraceRecord> records_;
+    struct FileCloser
+    {
+        void operator()(std::FILE *file) const { std::fclose(file); }
+    };
+
+    /** Append the block to the spill file and empty it. */
+    void spill();
+
+    std::size_t blockRecords_;
+    bool recording_ = false;
+    CountingTraceSink tallies_;
+    std::vector<TraceRecord> block_;
+    std::unique_ptr<std::FILE, FileCloser> spillFile_;
+    std::size_t spilled_ = 0; ///< records in spillFile_
 };
 
 /** Streams one JSON object per event (JSON-lines). */
@@ -196,6 +228,9 @@ class TeeTraceSink final : public TraceSink
 
     /** Install/replace/remove (nullptr) the secondary sink. */
     void secondary(TraceSink *sink) { secondary_ = sink; }
+
+    /** The installed secondary sink, or nullptr. */
+    TraceSink *secondary() const { return secondary_; }
 
     void
     emit(const TraceRecord &record) override
