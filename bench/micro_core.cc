@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the engine's hot primitives:
- * sorted-list intersection kernels, the horizontal dedup table,
- * chunk arena append/reset, cache probes and plan compilation.
+ * sorted-list intersection and count-above kernels, the horizontal
+ * dedup table, chunk arena append/reset, cache probes and plan
+ * compilation.
  */
 
 #include <benchmark/benchmark.h>
@@ -164,17 +165,39 @@ BENCHMARK(BM_IntersectSkewSimdGallop)
     ->Arg(64)
     ->Arg(256);
 
-/** Bitmap kernel against a real hub row on a skewed rmat graph. */
-void
-BM_IntersectBitmapHub(benchmark::State &state)
+/** A skewed rmat graph with hub rows, and its highest-degree
+ *  vertex. */
+std::pair<Graph, VertexId>
+hubGraph()
 {
-    const Graph g = gen::rmat(16384, 262144, 0.6, 0.15, 0.15, 11);
+    Graph g = gen::rmat(16384, 262144, 0.6, 0.15, 0.15, 11);
     g.buildHubBitmaps(32, 32ull << 20);
     VertexId hub = 0;
     for (VertexId v = 1; v < g.numVertices(); ++v)
         if (g.degree(v) > g.degree(hub))
             hub = v;
-    const auto small = sortedRandomList(state.range(0), 23);
+    return {std::move(g), hub};
+}
+
+/** A sorted driving list of vertices of @p g: a bitmap row covers
+ *  only the graph's vertex range. */
+std::vector<VertexId>
+driverFor(const Graph &g, std::size_t size, std::uint64_t seed)
+{
+    auto list = sortedRandomList(size, seed);
+    for (VertexId &v : list)
+        v %= g.numVertices();
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    return list;
+}
+
+/** Bitmap kernel against a real hub row on a skewed rmat graph. */
+void
+BM_IntersectBitmapHub(benchmark::State &state)
+{
+    const auto [g, hub] = hubGraph();
+    const auto small = driverFor(g, state.range(0), 23);
     const auto hub_list = g.neighbors(hub);
     const std::uint64_t *row = g.hubBitmapRow(hub);
     std::vector<VertexId> out;
@@ -185,6 +208,87 @@ BM_IntersectBitmapHub(benchmark::State &state)
                             * (small.size() + hub_list.size()));
 }
 BENCHMARK(BM_IntersectBitmapHub)->Arg(16)->Arg(64)->Arg(256);
+
+/**
+ * Count-above kernels (count-only terminal levels): |a ∩ b| and how
+ * many of its elements are >= a bound, in one pass.  Each row pairs
+ * with the materializing row of the same kernel above; the bound
+ * sits at the driving list's median.
+ */
+void
+BM_IntersectCountAboveMerge(benchmark::State &state)
+{
+    const auto a = sortedRandomList(state.range(0), 1);
+    const auto b = sortedRandomList(state.range(0), 2);
+    const VertexId bound = a[a.size() / 2];
+    for (auto _ : state) {
+        Count total = 0;
+        Count above = 0;
+        benchmark::DoNotOptimize(
+            core::intersectCountAbove(a, b, bound, total, above));
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * (a.size() + b.size()));
+}
+BENCHMARK(BM_IntersectCountAboveMerge)->Arg(64)->Arg(1024)->Arg(16384);
+
+void
+BM_IntersectCountAboveSimd(benchmark::State &state)
+{
+    const auto a = sortedRandomList(state.range(0), 1);
+    const auto b = sortedRandomList(state.range(0), 2);
+    const VertexId bound = a[a.size() / 2];
+    for (auto _ : state) {
+        Count total = 0;
+        Count above = 0;
+        benchmark::DoNotOptimize(core::simdMergeIntersectCountAbove(
+            a, b, bound, total, above));
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * (a.size() + b.size()));
+}
+BENCHMARK(BM_IntersectCountAboveSimd)->Arg(64)->Arg(1024)->Arg(16384);
+
+void
+BM_IntersectCountAboveGallop(benchmark::State &state)
+{
+    const auto small = sortedRandomList(256, 21);
+    const auto large =
+        sortedRandomList(256 * state.range(0), 22);
+    const VertexId bound = small[small.size() / 2];
+    for (auto _ : state) {
+        Count total = 0;
+        Count above = 0;
+        benchmark::DoNotOptimize(core::gallopIntersectCountAbove(
+            small, large, bound, total, above));
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * (small.size() + large.size()));
+}
+BENCHMARK(BM_IntersectCountAboveGallop)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256);
+
+void
+BM_IntersectCountAboveBitmap(benchmark::State &state)
+{
+    const auto [g, hub] = hubGraph();
+    const auto small = driverFor(g, state.range(0), 23);
+    const auto hub_list = g.neighbors(hub);
+    const std::uint64_t *row = g.hubBitmapRow(hub);
+    const VertexId bound = small[small.size() / 2];
+    for (auto _ : state) {
+        Count total = 0;
+        Count above = 0;
+        benchmark::DoNotOptimize(core::bitmapIntersectCountAbove(
+            small, hub_list, row, bound, total, above));
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * (small.size() + hub_list.size()));
+}
+BENCHMARK(BM_IntersectCountAboveBitmap)->Arg(16)->Arg(64)->Arg(256);
 
 /**
  * Membership probe at list sizes around kContainsLinearCutoff: the

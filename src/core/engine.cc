@@ -57,7 +57,7 @@ class HybridExplorer
                       ? nullptr
                       : engine.faultSessions_[unit].get()),
           extender_(*engine.graph_, plan, engine.config_.cost,
-                    engine.config_.kernelMode),
+                    engine.config_.kernelMode, unit),
           cores_(engine.context_->computeCoresPerUnit()),
           deadlineNs_(engine.config_.deadlineNs),
           deadlineStartNs_(stats.totalNs()),
@@ -263,8 +263,11 @@ class HybridExplorer
         for (std::uint32_t idx = 0; idx < chunk.size(); ++idx) {
             const double work_before = extender_.exchangeWork(0);
             if (terminal)
-                raw_ += extender_.extendTerminal(chunks_, level, idx,
-                                                 visitor_, stats_);
+                raw_ = addRawCount(
+                    raw_,
+                    extender_.extendTerminal(chunks_, level, idx,
+                                             visitor_, stats_),
+                    "execution unit", unit_);
             else
                 extender_.extendInner(chunks_, chunks_[level + 1],
                                       level, idx, stats_);
@@ -540,7 +543,8 @@ Engine::run(const ExtendPlan &plan, MatchVisitor *visitor)
         fabric_.apply(deltas[u]);
         for (unsigned o = 0; o < units; ++o)
             stats_.nodes[o].bytesSent += sent[u][o];
-        raw += raws[u];
+        raw = addRawCount(raw, raws[u], "the merge at execution unit",
+                          u);
     }
 
     // Post-barrier recovery pass (DESIGN.md §9): runs strictly

@@ -29,61 +29,141 @@ foldIep(const IepBlock &iep, std::span<const std::int64_t> sizes)
     return raw;
 }
 
+void
+rawCountOverflow(const char *owner, std::int64_t index)
+{
+    if (index >= 0)
+        KHUZDUL_FATAL("raw count of " << owner << " " << index
+                      << " overflows int64");
+    KHUZDUL_FATAL("raw count of " << owner << " overflows int64");
+}
+
+PlanStep::PlanStep(const Graph &g, const ExtendPlan &plan,
+                   KernelMode kernel_mode, RunnerHooks *hooks)
+    : graph_(&g), plan_(&plan), hooks_(hooks),
+      dispatcher_(kernel_mode, &g)
+{
+    for (int t = 1; t < plan.pattern.size(); ++t) {
+        const PlanLevel &level = plan.levels[t];
+        const PositionMask prior = (1u << t) - 1;
+        const int ops = level.reuseParent
+            ? std::popcount((level.extraDepMask | level.extraAntiMask)
+                            & prior)
+            : std::popcount(level.depMask & prior) - 1
+                + std::popcount(level.antiMask & prior);
+        const PositionMask unrestricted =
+            ~level.greaterThanMask & prior;
+        if (!level.hasLabelFilter
+            && (ops == 0 || (unrestricted & ~level.depMask) == 0))
+            countable_ |= 1u << t;
+    }
+}
+
 WorkItems
-PlanStep::buildCandidates(int t, std::span<const VertexId> stored,
-                          std::vector<VertexId> &out)
+PlanStep::runLevel(int t, std::span<const VertexId> stored,
+                   std::vector<VertexId> &out, CandidateTally *tally)
 {
     const PlanLevel &level = plan_->levels[t];
+    const PositionMask prior = (1u << t) - 1;
     VertexId lower = 0;
     for (int j = 0; j < t; ++j)
         if ((level.greaterThanMask >> j) & 1u)
             lower = std::max(lower, vertices[j] + 1);
     lowerBound_[t] = lower;
+
+    // Every list the level reads, in hook order: the dependency
+    // lists (only the extras on top of a reused result), then the
+    // induced-matching exclusions.
+    const bool reuse = level.reuseParent;
+    const PositionMask deps =
+        (reuse ? level.extraDepMask : level.depMask) & prior;
+    const PositionMask anti =
+        (reuse ? level.extraAntiMask : level.antiMask) & prior;
+    std::size_t lists = 0;
+    for (PositionMask m = deps; m != 0; m &= m - 1)
+        listBuf_[lists++] = edgeList(vertices[std::countr_zero(m)]);
+    const std::size_t intersects = lists;
+    for (PositionMask m = anti; m != 0; m &= m - 1)
+        listBuf_[lists++] = edgeList(vertices[std::countr_zero(m)]);
+
+    // The base set.  Vertical computation sharing starts from the
+    // parent's stored result; otherwise the dependency lists fold
+    // smallest-first (stable on size ties) to keep intermediates
+    // tight.  An aliased base is free in the model: its transfer
+    // was charged by the provider layer (kernels.hh).
+    ListRef base(stored);
+    std::size_t op = 0;
+    if (!reuse) {
+        detail::sortBySizeStable(listBuf_.data(), intersects);
+        base = listBuf_[0];
+        op = 1;
+    }
+    const ListRef *cur = &base;
+    ListRef result;
     WorkItems work = 0;
-    PositionMask dep = level.depMask;
-    if (level.reuseParent) {
-        // Vertical computation sharing: start from the parent's
-        // stored result instead of re-intersecting its deps.
-        out.assign(stored.begin(), stored.end());
-        dep = level.extraDepMask;
-    } else {
-        std::size_t lists = 0;
-        for (int j = 0; j < t; ++j)
-            if ((dep >> j) & 1u)
-                listBuf_[lists++] = edgeList(vertices[j]);
-        if (lists == 1) {
-            // Aliasing one already-fetched edge list: the transfer
-            // was charged by the provider layer, so the working copy
-            // is free in the model (charging convention, kernels.hh).
-            out.assign(listBuf_[0].list.begin(), listBuf_[0].list.end());
-        } else {
-            work += dispatcher_.intersectMany({listBuf_.data(), lists},
-                                              out, scratchA_);
+    for (; op < lists; ++op) {
+        const bool subtract = op >= intersects;
+        // The fold stops intersecting once its running result is
+        // empty; exclusions still run.
+        const bool skip =
+            !subtract && !reuse && op >= 2 && cur->list.empty();
+        if (tally && op + 1 == lists) {
+            Count total = 0;
+            Count above = 0;
+            if (!skip)
+                work += subtract
+                    ? dispatcher_.subtractCountAbove(
+                          *cur, listBuf_[op], lower, total, above)
+                    : dispatcher_.intersectCountAbove(
+                          *cur, listBuf_[op], lower, total, above);
+            tally->total = total;
+            tally->below = total - above;
+            tally->rejected = 0;
+            return work;
         }
-        dep = 0;
+        if (skip)
+            continue;
+        // Kernels size their output themselves; not clearing first
+        // lets a resizing kernel skip re-zeroing the kept prefix.
+        work += subtract
+            ? dispatcher_.subtractInto(*cur, listBuf_[op], scratchB_)
+            : dispatcher_.intersectInto(*cur, listBuf_[op], scratchB_);
+        out.swap(scratchB_);
+        result = ListRef(out);
+        cur = &result;
     }
-    // Extra deps of a reused result are folded in one by one.
-    for (int j = 0; j < t; ++j) {
-        if ((dep >> j) & 1u) {
-            scratchB_.clear();
-            work += dispatcher_.intersectInto(
-                ListRef(out), edgeList(vertices[j]), scratchB_);
-            out.swap(scratchB_);
-        }
-    }
-    // Induced matching: remove neighbors of non-adjacent earlier
-    // positions.
-    const PositionMask anti = level.reuseParent ? level.extraAntiMask
-                                                : level.antiMask;
-    for (int j = 0; j < t; ++j) {
-        if ((anti >> j) & 1u) {
-            scratchB_.clear();
-            work += dispatcher_.subtractInto(
-                ListRef(out), edgeList(vertices[j]), scratchB_);
-            out.swap(scratchB_);
-        }
-    }
+    if (tally)
+        rankCandidates(t, cur->list, *tally);
+    else if (cur != &result)
+        out.assign(cur->list.begin(), cur->list.end());
     return work;
+}
+
+void
+PlanStep::rankCandidates(int t, std::span<const VertexId> set,
+                         CandidateTally &tally) const
+{
+    const PlanLevel &level = plan_->levels[t];
+    const auto from =
+        std::lower_bound(set.begin(), set.end(), lowerBound_[t]);
+    tally.total = set.size();
+    tally.below = static_cast<Count>(from - set.begin());
+    tally.rejected = 0;
+    // A dependency's vertex is never in its own edge list, and a
+    // restricted one sits below the bound.
+    const PositionMask unrestricted =
+        ~level.greaterThanMask & ~level.depMask & ((1u << t) - 1);
+    for (PositionMask m = unrestricted; m != 0; m &= m - 1) {
+        const VertexId v = vertices[std::countr_zero(m)];
+        const auto it = std::lower_bound(from, set.end(), v);
+        if (it == set.end() || *it != v)
+            continue;
+        const Count rank = static_cast<Count>(it - from);
+        int k = tally.rejected++;
+        for (; k > 0 && tally.rejectedRank[k - 1] > rank; --k)
+            tally.rejectedRank[k] = tally.rejectedRank[k - 1];
+        tally.rejectedRank[k] = rank;
+    }
 }
 
 void
@@ -175,7 +255,18 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
         return foldIep(iep, iep_.sizes);
     }
     const int t = plan_->pattern.size() - 1;
-    buildCandidates(t, chunks[t - 1].result(idx), stats);
+    const std::span<const VertexId> stored = chunks[t - 1].result(idx);
+    if (!visitor && step_.countable(t)) {
+        if (plan_->levels[t].reuseParent)
+            ++stats.verticalReuses;
+        const WorkItems work =
+            step_.countCandidates(t, stored, candidates_, tally_);
+        stats.intersectionItems += work;
+        workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
+        chargeCountedScan(tally_);
+        return rawCountOf(tally_.accepted(), "execution unit", unit_);
+    }
+    buildCandidates(t, stored, stats);
     std::int64_t raw = 0;
     for (const VertexId candidate : candidates_) {
         workNs_ += cost_->candidateCheckNs;
@@ -190,6 +281,31 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
         }
     }
     return raw;
+}
+
+void
+PlanExtender::chargeCountedScan(const CandidateTally &tally)
+{
+    const double check = cost_->candidateCheckNs;
+    const double match = cost_->terminalNs;
+    double work = workNs_;
+    for (Count i = 0; i < tally.below; ++i)
+        work += check;
+    Count rank = 0;
+    for (int k = 0; k < tally.rejected; ++k) {
+        for (; rank < tally.rejectedRank[k]; ++rank) {
+            work += check;
+            work += match;
+        }
+        work += check; // the rejected matched vertex
+        ++rank;
+    }
+    for (const Count end = tally.total - tally.below; rank < end;
+         ++rank) {
+        work += check;
+        work += match;
+    }
+    workNs_ = work;
 }
 
 } // namespace core

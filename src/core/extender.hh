@@ -3,8 +3,9 @@
  * The plan step: one loop level of the generated nested loop (the
  * paper's EXTEND, §3) and the only definition of its math.  PlanStep
  * materializes candidate sets (with vertical computation sharing,
- * §5.1), applies the plan's per-candidate filters, and sizes and
- * folds the IEP terminal block.  Both execution paths drive it: the
+ * §5.1) or, at a count-only terminal level, counts them, applies
+ * the plan's per-candidate filters, and sizes and folds the IEP
+ * terminal block.  Both execution paths drive it: the
  * single-machine DFS runner (core/plan_runner) directly, and the
  * chunked distributed engine through PlanExtender, which recovers an
  * embedding's vertices from the parent-pointer chain and prices the
@@ -21,6 +22,7 @@
 
 #include <array>
 #include <bit>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -69,16 +71,63 @@ struct IepMasks
 std::int64_t foldIep(const IepBlock &iep,
                      std::span<const std::int64_t> sizes);
 
+/** Raise FatalError: a raw count of @p owner (with @p index when
+ *  >= 0) left the int64 range. */
+[[noreturn]] void rawCountOverflow(const char *owner, std::int64_t index);
+
+/**
+ * @p sum + @p term for raw counts (int64: IEP terms may be
+ * negative).  Checked like foldIep: overflow raises FatalError
+ * naming @p owner and @p index instead of wrapping.
+ */
+inline std::int64_t
+addRawCount(std::int64_t sum, std::int64_t term, const char *owner,
+            std::int64_t index = -1)
+{
+    std::int64_t out = 0;
+    if (__builtin_add_overflow(sum, term, &out)) [[unlikely]]
+        rawCountOverflow(owner, index);
+    return out;
+}
+
+/** A Count tally as a raw-count term, checked like addRawCount. */
+inline std::int64_t
+rawCountOf(Count count, const char *owner, std::int64_t index = -1)
+{
+    if (count > static_cast<Count>(
+            std::numeric_limits<std::int64_t>::max())) [[unlikely]]
+        rawCountOverflow(owner, index);
+    return static_cast<std::int64_t>(count);
+}
+
+/**
+ * A counted terminal level (PlanStep::countCandidates): the size of
+ * the candidate set buildCandidates would have built, how many of
+ * its (ascending) candidates fall below the restriction bound, and
+ * the ranks past those of the matched vertices it still holds,
+ * ascending.  accept() rejects exactly those candidates.
+ */
+struct CandidateTally
+{
+    Count total = 0;
+    Count below = 0;
+    std::array<Count, kMaxPatternSize> rejectedRank{};
+    int rejected = 0;
+
+    Count
+    accepted() const
+    {
+        return total - below - static_cast<Count>(rejected);
+    }
+};
+
 /** One EXTEND loop level over a plan: candidates, filter, IEP. */
 class PlanStep
 {
   public:
     /** @param hooks optional edge-list observer (baselines only). */
     PlanStep(const Graph &g, const ExtendPlan &plan,
-             KernelMode kernel_mode, RunnerHooks *hooks = nullptr)
-        : graph_(&g), plan_(&plan), hooks_(hooks),
-          dispatcher_(kernel_mode, &g)
-    {}
+             KernelMode kernel_mode, RunnerHooks *hooks = nullptr);
 
     /** vertices[i] = graph vertex matched at position i. */
     std::array<VertexId, kMaxPatternSize> vertices{};
@@ -89,8 +138,41 @@ class PlanStep
      * set position t-1 was drawn from (used when the plan level
      * reuses it, §5.1).
      */
-    WorkItems buildCandidates(int t, std::span<const VertexId> stored,
-                              std::vector<VertexId> &out);
+    WorkItems
+    buildCandidates(int t, std::span<const VertexId> stored,
+                    std::vector<VertexId> &out)
+    {
+        return runLevel(t, stored, out, nullptr);
+    }
+
+    /**
+     * Whether countCandidates may stand in for buildCandidates plus
+     * accept() at position @p t when no visitor needs the matches:
+     * the level has no label filter, and either it runs no set
+     * operation or every unrestricted earlier position is a
+     * dependency (a vertex is never in its own edge list, so only
+     * the bound can reject a candidate of a counted operation).
+     */
+    bool
+    countable(int t) const
+    {
+        return (countable_ >> t) & 1u;
+    }
+
+    /**
+     * Count form of buildCandidates for a countable level: the same
+     * set operations, hooks, kernel ticks and charges, but the last
+     * operation only counts (one count-above kernel call) and the
+     * candidates accept() would reject are tallied in @p tally.
+     * @p scratch receives the intermediate results.
+     */
+    WorkItems
+    countCandidates(int t, std::span<const VertexId> stored,
+                    std::vector<VertexId> &scratch,
+                    CandidateTally &tally)
+    {
+        return runLevel(t, stored, scratch, &tally);
+    }
 
     /**
      * Per-candidate filters (restrictions, labels, distinctness) for
@@ -132,6 +214,23 @@ class PlanStep
     }
 
   private:
+    /**
+     * The level's set operations in order — the one sequencing both
+     * forms share.  The base set is the reused parent result or the
+     * smallest dependency list; the other dependency lists are
+     * intersected in, then the exclusions subtracted.  Without
+     * @p tally every result is materialized and the last lands in
+     * @p out; with it the last operation is counted instead.
+     */
+    WorkItems runLevel(int t, std::span<const VertexId> stored,
+                       std::vector<VertexId> &out,
+                       CandidateTally *tally);
+
+    /** Tally a set no operation is left to count: rank the bound and
+     *  the unrestricted matched vertices in it. */
+    void rankCandidates(int t, std::span<const VertexId> set,
+                        CandidateTally &tally) const;
+
     /** The edge list of @p v, reported to the hooks when set. */
     ListRef
     edgeList(VertexId v)
@@ -145,6 +244,7 @@ class PlanStep
     const ExtendPlan *plan_;
     RunnerHooks *hooks_;
     KernelDispatcher dispatcher_;
+    PositionMask countable_ = 0; ///< bit t: countable(t)
 
     /** lowerBound_[t]: smallest candidate position t's restrictions
      *  admit (1 + the largest restricted vertex, or 0). */
@@ -158,10 +258,12 @@ class PlanStep
 class PlanExtender
 {
   public:
+    /** @param unit the execution unit (named on count overflow). */
     PlanExtender(const Graph &g, const ExtendPlan &plan,
-                 const sim::CostModel &cost,
-                 KernelMode kernel_mode = KernelMode::Auto)
-        : plan_(&plan), cost_(&cost), step_(g, plan, kernel_mode)
+                 const sim::CostModel &cost, KernelMode kernel_mode,
+                 unsigned unit)
+        : plan_(&plan), cost_(&cost), step_(g, plan, kernel_mode),
+          unit_(unit)
     {}
 
     /** Extend non-terminal embedding (@p level, @p idx) of
@@ -171,8 +273,9 @@ class PlanExtender
                      sim::NodeStats &stats);
 
     /**
-     * Terminal extension of embedding (@p level, @p idx): IEP fold
-     * or scan-count, delivering matches to @p visitor when set.
+     * Terminal extension of embedding (@p level, @p idx): IEP fold,
+     * count (PlanStep::countCandidates) or scan, delivering matches
+     * to @p visitor when set.
      * @return the raw-count contribution.
      */
     std::int64_t extendTerminal(const std::vector<Chunk> &chunks,
@@ -247,11 +350,22 @@ class PlanExtender
         workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
     }
 
+    /**
+     * Charge a counted terminal level as the scan loop does: one
+     * candidateCheckNs per candidate in ascending order, terminalNs
+     * after each accepted one.  The doubles are added one by one in
+     * that order (n x cost rounds differently), into a local stored
+     * once.
+     */
+    void chargeCountedScan(const CandidateTally &tally);
+
     const ExtendPlan *plan_;
     const sim::CostModel *cost_;
     PlanStep step_;
+    unsigned unit_;
 
     std::vector<VertexId> candidates_;
+    CandidateTally tally_;
     IepMasks iep_;
     double workNs_ = 0;
     int prefixLevel_ = -1;          ///< level of the cached prefix

@@ -11,6 +11,8 @@
 
 #include "core/kernels/kernels.hh"
 
+#include <algorithm>
+
 namespace khuzdul
 {
 namespace core
@@ -23,6 +25,26 @@ inline bool
 testBit(const std::uint64_t *row, VertexId v)
 {
     return (row[v >> 6] >> (v & 63)) & 1u;
+}
+
+/** Elements of @p a whose bit is set in @p row. */
+Count
+rowMembers(std::span<const VertexId> a, const std::uint64_t *row)
+{
+    if (a.size() >= kSimdMinSize && simdAvailable())
+        return detail::simdBitmapCount(a, row);
+    Count count = 0;
+    for (const VertexId x : a)
+        count += testBit(row, x);
+    return count;
+}
+
+/** Split of @p a at the first element >= @p bound. */
+std::size_t
+splitAt(std::span<const VertexId> a, VertexId bound)
+{
+    return static_cast<std::size_t>(
+        std::lower_bound(a.begin(), a.end(), bound) - a.begin());
 }
 
 } // namespace
@@ -49,15 +71,20 @@ bitmapIntersectCount(std::span<const VertexId> a,
                      std::span<const VertexId> hub_list,
                      const std::uint64_t *row, Count &count)
 {
-    const WorkItems work = canonicalIntersectWork(a, hub_list);
-    if (a.size() >= kSimdMinSize && simdAvailable()) {
-        count = detail::simdBitmapCount(a, row);
-        return work;
-    }
-    count = 0;
-    for (const VertexId x : a)
-        count += testBit(row, x);
-    return work;
+    count = rowMembers(a, row);
+    return canonicalIntersectWork(a, hub_list);
+}
+
+WorkItems
+bitmapIntersectCountAbove(std::span<const VertexId> a,
+                          std::span<const VertexId> hub_list,
+                          const std::uint64_t *row, VertexId bound,
+                          Count &total, Count &above)
+{
+    const std::size_t split = splitAt(a, bound);
+    above = rowMembers(a.subspan(split), row);
+    total = rowMembers(a.first(split), row) + above;
+    return canonicalIntersectWork(a, hub_list);
 }
 
 WorkItems
@@ -75,6 +102,18 @@ bitmapSubtractInto(std::span<const VertexId> a,
         if (!testBit(row, x))
             out.push_back(x);
     return work;
+}
+
+WorkItems
+bitmapSubtractCountAbove(std::span<const VertexId> a,
+                         std::span<const VertexId> hub_list,
+                         const std::uint64_t *row, VertexId bound,
+                         Count &total, Count &above)
+{
+    const std::size_t split = splitAt(a, bound);
+    above = (a.size() - split) - rowMembers(a.subspan(split), row);
+    total = split - rowMembers(a.first(split), row) + above;
+    return canonicalSubtractWork(a, hub_list);
 }
 
 } // namespace core

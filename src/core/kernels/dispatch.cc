@@ -81,208 +81,204 @@ KernelDispatcher::rowFor(const ListRef &ref) const
     return graph_->hubBitmapRow(ref.source);
 }
 
+KernelDispatcher::Choice
+KernelDispatcher::chooseIntersect(const ListRef &small,
+                                  const ListRef &large)
+{
+    const bool wide = simd_ && small.size() >= kSimdMinSize;
+    Choice choice{KernelKind::Merge, nullptr};
+    switch (mode_) {
+      case KernelMode::Merge:
+        break;
+      case KernelMode::Gallop:
+        choice.kind = KernelKind::Gallop;
+        break;
+      case KernelMode::Bitmap:
+        if ((choice.row = rowFor(large)))
+            choice.kind = KernelKind::Bitmap;
+        break;
+      case KernelMode::Simd:
+        if (large.size() >= kGallopRatio * small.size()
+            && !small.list.empty())
+            choice.kind =
+                wide ? KernelKind::SimdGallop : KernelKind::Gallop;
+        else if (wide)
+            choice.kind = KernelKind::SimdMerge;
+        break;
+      case KernelMode::Auto:
+        if (small.list.empty())
+            break; // trivial; merge returns immediately
+        if (large.size() >= kBitmapRatio * small.size()
+            && (choice.row = rowFor(large))) {
+            choice.kind = KernelKind::Bitmap;
+        } else if (large.size() >= kGallopRatio * small.size()) {
+            // Scalar gallop, deliberately: the sweep shows the
+            // vectorized landing window losing to the plain binary
+            // narrow at every ratio >= kGallopRatio (the probe loads
+            // cost more than the <= 3 scalar steps they replace).
+            // SimdGallop stays reachable via KernelMode::Simd.
+            choice.kind = KernelKind::Gallop;
+        } else if (wide) {
+            choice.kind = KernelKind::SimdMerge;
+        }
+        break;
+    }
+    ++counters_.calls[static_cast<std::size_t>(choice.kind)];
+    return choice;
+}
+
+KernelDispatcher::Choice
+KernelDispatcher::chooseSubtract(const ListRef &a, const ListRef &b)
+{
+    // Subtraction is not symmetric: a is the base, only b can play
+    // the probed (hub) role.
+    Choice choice{KernelKind::Merge, nullptr};
+    switch (mode_) {
+      case KernelMode::Merge:
+        break;
+      case KernelMode::Gallop:
+        choice.kind = KernelKind::Gallop;
+        break;
+      case KernelMode::Bitmap:
+        if ((choice.row = rowFor(b)))
+            choice.kind = KernelKind::Bitmap;
+        break;
+      case KernelMode::Simd:
+        if (!a.list.empty() && !b.list.empty()
+            && b.size() >= kGallopRatio * a.size())
+            choice.kind = simd_ && a.size() >= kSimdMinSize
+                ? KernelKind::SimdGallop
+                : KernelKind::Gallop;
+        break;
+      case KernelMode::Auto:
+        if (a.list.empty() || b.list.empty())
+            break;
+        if (b.size() >= kBitmapRatio * a.size()
+            && (choice.row = rowFor(b)))
+            choice.kind = KernelKind::Bitmap;
+        else if (b.size() >= kGallopRatio * a.size())
+            choice.kind = KernelKind::Gallop; // see chooseIntersect
+        break;
+    }
+    ++counters_.calls[static_cast<std::size_t>(choice.kind)];
+    return choice;
+}
+
 WorkItems
 KernelDispatcher::intersectInto(const ListRef &a, const ListRef &b,
                                 std::vector<VertexId> &out)
 {
     const ListRef &small = a.size() <= b.size() ? a : b;
     const ListRef &large = a.size() <= b.size() ? b : a;
-    const auto count = [this](KernelKind k) {
-        ++counters_.calls[static_cast<std::size_t>(k)];
-    };
-    const bool wide = simd_ && small.size() >= kSimdMinSize;
-    switch (mode_) {
-      case KernelMode::Merge:
-        break;
-      case KernelMode::Gallop:
-        count(KernelKind::Gallop);
+    const Choice c = chooseIntersect(small, large);
+    switch (c.kind) {
+      case KernelKind::Gallop:
         return gallopIntersectInto(small.list, large.list, out);
-      case KernelMode::Bitmap:
-        if (const std::uint64_t *row = rowFor(large)) {
-            count(KernelKind::Bitmap);
-            return bitmapIntersectInto(small.list, large.list, row,
-                                       out);
-        }
+      case KernelKind::Bitmap:
+        return bitmapIntersectInto(small.list, large.list, c.row, out);
+      case KernelKind::SimdMerge:
+        return simdMergeIntersectInto(small.list, large.list, out);
+      case KernelKind::SimdGallop:
+        return simdGallopIntersectInto(small.list, large.list, out);
+      case KernelKind::Merge:
         break;
-      case KernelMode::Simd:
-        if (large.size() >= kGallopRatio * small.size()
-            && !small.list.empty()) {
-            count(wide ? KernelKind::SimdGallop : KernelKind::Gallop);
-            return wide ? simdGallopIntersectInto(small.list,
-                                                  large.list, out)
-                        : gallopIntersectInto(small.list, large.list,
-                                              out);
-        }
-        if (wide) {
-            count(KernelKind::SimdMerge);
-            return simdMergeIntersectInto(small.list, large.list, out);
-        }
-        break;
-      case KernelMode::Auto: {
-        if (small.list.empty())
-            break; // trivial; merge returns immediately
-        if (large.size() >= kBitmapRatio * small.size()) {
-            if (const std::uint64_t *row = rowFor(large)) {
-                count(KernelKind::Bitmap);
-                return bitmapIntersectInto(small.list, large.list,
-                                           row, out);
-            }
-        }
-        if (large.size() >= kGallopRatio * small.size()) {
-            // Scalar gallop, deliberately: the sweep shows the
-            // vectorized landing window losing to the plain binary
-            // narrow at every ratio >= kGallopRatio (the probe loads
-            // cost more than the <= 3 scalar steps they replace).
-            // SimdGallop stays reachable via KernelMode::Simd.
-            count(KernelKind::Gallop);
-            return gallopIntersectInto(small.list, large.list, out);
-        }
-        if (wide) {
-            count(KernelKind::SimdMerge);
-            return simdMergeIntersectInto(small.list, large.list, out);
-        }
-        break;
-      }
     }
-    count(KernelKind::Merge);
     return core::intersectInto(small.list, large.list, out);
 }
 
 WorkItems
 KernelDispatcher::intersectCount(const ListRef &a, const ListRef &b,
-                                 Count &result)
+                                 Count &count)
 {
     const ListRef &small = a.size() <= b.size() ? a : b;
     const ListRef &large = a.size() <= b.size() ? b : a;
-    const auto count = [this](KernelKind k) {
-        ++counters_.calls[static_cast<std::size_t>(k)];
-    };
-    const bool wide = simd_ && small.size() >= kSimdMinSize;
-    switch (mode_) {
-      case KernelMode::Merge:
+    const Choice c = chooseIntersect(small, large);
+    switch (c.kind) {
+      case KernelKind::Gallop:
+        return gallopIntersectCount(small.list, large.list, count);
+      case KernelKind::Bitmap:
+        return bitmapIntersectCount(small.list, large.list, c.row,
+                                    count);
+      case KernelKind::SimdMerge:
+        return simdMergeIntersectCount(small.list, large.list, count);
+      case KernelKind::SimdGallop:
+        return simdGallopIntersectCount(small.list, large.list, count);
+      case KernelKind::Merge:
         break;
-      case KernelMode::Gallop:
-        count(KernelKind::Gallop);
-        return gallopIntersectCount(small.list, large.list, result);
-      case KernelMode::Bitmap:
-        if (const std::uint64_t *row = rowFor(large)) {
-            count(KernelKind::Bitmap);
-            return bitmapIntersectCount(small.list, large.list, row,
-                                        result);
-        }
-        break;
-      case KernelMode::Simd:
-        if (large.size() >= kGallopRatio * small.size()
-            && !small.list.empty()) {
-            count(wide ? KernelKind::SimdGallop : KernelKind::Gallop);
-            return wide ? simdGallopIntersectCount(small.list,
-                                                   large.list, result)
-                        : gallopIntersectCount(small.list, large.list,
-                                               result);
-        }
-        if (wide) {
-            count(KernelKind::SimdMerge);
-            return simdMergeIntersectCount(small.list, large.list,
-                                           result);
-        }
-        break;
-      case KernelMode::Auto: {
-        if (small.list.empty())
-            break;
-        if (large.size() >= kBitmapRatio * small.size()) {
-            if (const std::uint64_t *row = rowFor(large)) {
-                count(KernelKind::Bitmap);
-                return bitmapIntersectCount(small.list, large.list,
-                                            row, result);
-            }
-        }
-        if (large.size() >= kGallopRatio * small.size()) {
-            // Scalar gallop on purpose — see intersectInto.
-            count(KernelKind::Gallop);
-            return gallopIntersectCount(small.list, large.list,
-                                        result);
-        }
-        if (wide) {
-            count(KernelKind::SimdMerge);
-            return simdMergeIntersectCount(small.list, large.list,
-                                           result);
-        }
-        break;
-      }
     }
-    count(KernelKind::Merge);
-    return core::intersectCount(small.list, large.list, result);
+    return core::intersectCount(small.list, large.list, count);
+}
+
+WorkItems
+KernelDispatcher::intersectCountAbove(const ListRef &a, const ListRef &b,
+                                      VertexId bound, Count &total,
+                                      Count &above)
+{
+    const ListRef &small = a.size() <= b.size() ? a : b;
+    const ListRef &large = a.size() <= b.size() ? b : a;
+    const Choice c = chooseIntersect(small, large);
+    switch (c.kind) {
+      case KernelKind::Gallop:
+        return gallopIntersectCountAbove(small.list, large.list, bound,
+                                         total, above);
+      case KernelKind::Bitmap:
+        return bitmapIntersectCountAbove(small.list, large.list, c.row,
+                                         bound, total, above);
+      case KernelKind::SimdMerge:
+        return simdMergeIntersectCountAbove(small.list, large.list,
+                                            bound, total, above);
+      case KernelKind::SimdGallop:
+        return simdGallopIntersectCountAbove(small.list, large.list,
+                                             bound, total, above);
+      case KernelKind::Merge:
+        break;
+    }
+    return core::intersectCountAbove(small.list, large.list, bound,
+                                     total, above);
 }
 
 WorkItems
 KernelDispatcher::subtractInto(const ListRef &a, const ListRef &b,
                                std::vector<VertexId> &out)
 {
-    // Subtraction is not symmetric: a is the base, only b can play
-    // the probed (hub) role.
-    const auto count = [this](KernelKind k) {
-        ++counters_.calls[static_cast<std::size_t>(k)];
-    };
-    const bool wide = simd_ && a.size() >= kSimdMinSize;
-    switch (mode_) {
-      case KernelMode::Merge:
-        break;
-      case KernelMode::Gallop:
-        count(KernelKind::Gallop);
+    const Choice c = chooseSubtract(a, b);
+    switch (c.kind) {
+      case KernelKind::Gallop:
         return gallopSubtractInto(a.list, b.list, out);
-      case KernelMode::Bitmap:
-        if (const std::uint64_t *row = rowFor(b)) {
-            count(KernelKind::Bitmap);
-            return bitmapSubtractInto(a.list, b.list, row, out);
-        }
+      case KernelKind::Bitmap:
+        return bitmapSubtractInto(a.list, b.list, c.row, out);
+      case KernelKind::SimdGallop:
+        return simdGallopSubtractInto(a.list, b.list, out);
+      case KernelKind::SimdMerge: // never chosen for subtraction
+      case KernelKind::Merge:
         break;
-      case KernelMode::Simd:
-        if (!a.list.empty() && !b.list.empty()
-            && b.size() >= kGallopRatio * a.size()) {
-            count(wide ? KernelKind::SimdGallop : KernelKind::Gallop);
-            return wide ? simdGallopSubtractInto(a.list, b.list, out)
-                        : gallopSubtractInto(a.list, b.list, out);
-        }
-        break;
-      case KernelMode::Auto: {
-        if (a.list.empty() || b.list.empty())
-            break;
-        if (b.size() >= kBitmapRatio * a.size()) {
-            if (const std::uint64_t *row = rowFor(b)) {
-                count(KernelKind::Bitmap);
-                return bitmapSubtractInto(a.list, b.list, row, out);
-            }
-        }
-        if (b.size() >= kGallopRatio * a.size()) {
-            // Scalar gallop on purpose — see intersectInto.
-            count(KernelKind::Gallop);
-            return gallopSubtractInto(a.list, b.list, out);
-        }
-        break;
-      }
     }
-    count(KernelKind::Merge);
     return core::subtractInto(a.list, b.list, out);
 }
 
-namespace
+WorkItems
+KernelDispatcher::subtractCountAbove(const ListRef &a, const ListRef &b,
+                                     VertexId bound, Count &total,
+                                     Count &above)
 {
-
-void
-sortBySizeStable(std::array<ListRef, 8> &lists, std::size_t n)
-{
-    for (std::size_t i = 1; i < n; ++i) {
-        const ListRef key = lists[i];
-        std::size_t j = i;
-        while (j > 0 && lists[j - 1].size() > key.size()) {
-            lists[j] = lists[j - 1];
-            --j;
-        }
-        lists[j] = key;
+    const Choice c = chooseSubtract(a, b);
+    switch (c.kind) {
+      case KernelKind::Gallop:
+        return gallopSubtractCountAbove(a.list, b.list, bound, total,
+                                        above);
+      case KernelKind::Bitmap:
+        return bitmapSubtractCountAbove(a.list, b.list, c.row, bound,
+                                        total, above);
+      case KernelKind::SimdGallop:
+        return simdGallopSubtractCountAbove(a.list, b.list, bound,
+                                            total, above);
+      case KernelKind::SimdMerge: // never chosen for subtraction
+      case KernelKind::Merge:
+        break;
     }
+    return core::subtractCountAbove(a.list, b.list, bound, total,
+                                    above);
 }
-
-} // namespace
 
 WorkItems
 KernelDispatcher::intersectMany(std::span<const ListRef> lists,
@@ -293,7 +289,7 @@ KernelDispatcher::intersectMany(std::span<const ListRef> lists,
                   "intersectMany needs 1..8 lists");
     std::array<ListRef, 8> sorted;
     std::copy(lists.begin(), lists.end(), sorted.begin());
-    sortBySizeStable(sorted, lists.size());
+    detail::sortBySizeStable(sorted.data(), lists.size());
     if (lists.size() == 1) {
         // Same convention as the free function: a materialized copy
         // charges one WorkItem per element.

@@ -42,6 +42,41 @@ gallopLowerBound(const VertexId *first, const VertexId *last, VertexId x)
     return std::lower_bound(begin, end, x);
 }
 
+/** Elements of @p a found in [cursor, end), advancing @p cursor. */
+Count
+gallopMatches(std::span<const VertexId> a, const VertexId *&cursor,
+              const VertexId *end)
+{
+    Count count = 0;
+    for (const VertexId x : a) {
+        cursor = gallopLowerBound(cursor, end, x);
+        if (cursor == end)
+            break;
+        if (*cursor == x) {
+            ++count;
+            ++cursor;
+        }
+    }
+    return count;
+}
+
+/** Elements of @p a not found in [cursor, end), advancing
+ *  @p cursor. */
+Count
+gallopMisses(std::span<const VertexId> a, const VertexId *&cursor,
+             const VertexId *end)
+{
+    Count count = 0;
+    for (const VertexId x : a) {
+        cursor = gallopLowerBound(cursor, end, x);
+        if (cursor != end && *cursor == x)
+            ++cursor;
+        else
+            ++count;
+    }
+    return count;
+}
+
 } // namespace
 
 WorkItems
@@ -69,20 +104,25 @@ WorkItems
 gallopIntersectCount(std::span<const VertexId> a,
                      std::span<const VertexId> b, Count &count)
 {
-    count = 0;
-    const WorkItems work = canonicalIntersectWork(a, b);
+    const VertexId *cursor = b.data();
+    count = gallopMatches(a, cursor, b.data() + b.size());
+    return canonicalIntersectWork(a, b);
+}
+
+WorkItems
+gallopIntersectCountAbove(std::span<const VertexId> a,
+                          std::span<const VertexId> b, VertexId bound,
+                          Count &total, Count &above)
+{
+    // The driving list splits at the bound; the cursor carries over.
+    const std::size_t split = static_cast<std::size_t>(
+        std::lower_bound(a.begin(), a.end(), bound) - a.begin());
     const VertexId *cursor = b.data();
     const VertexId *const end = cursor + b.size();
-    for (const VertexId x : a) {
-        cursor = gallopLowerBound(cursor, end, x);
-        if (cursor == end)
-            break;
-        if (*cursor == x) {
-            ++count;
-            ++cursor;
-        }
-    }
-    return work;
+    const Count below = gallopMatches(a.first(split), cursor, end);
+    above = gallopMatches(a.subspan(split), cursor, end);
+    total = below + above;
+    return canonicalIntersectWork(a, b);
 }
 
 WorkItems
@@ -102,6 +142,21 @@ gallopSubtractInto(std::span<const VertexId> a,
             out.push_back(x);
     }
     return work;
+}
+
+WorkItems
+gallopSubtractCountAbove(std::span<const VertexId> a,
+                         std::span<const VertexId> b, VertexId bound,
+                         Count &total, Count &above)
+{
+    const std::size_t split = static_cast<std::size_t>(
+        std::lower_bound(a.begin(), a.end(), bound) - a.begin());
+    const VertexId *cursor = b.data();
+    const VertexId *const end = cursor + b.size();
+    const Count below = gallopMisses(a.first(split), cursor, end);
+    above = gallopMisses(a.subspan(split), cursor, end);
+    total = below + above;
+    return canonicalSubtractWork(a, b);
 }
 
 } // namespace core

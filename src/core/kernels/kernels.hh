@@ -26,6 +26,13 @@
  * A KernelDispatcher picks the kernel per call from the size ratio
  * and hub-bitmap availability (or a forced KernelMode for A/B runs).
  *
+ * Besides materializing (…Into) and counting (…Count) forms, every
+ * kind has count-above forms for count-only terminal levels:
+ * |a ∩ b| or |a \ b| plus how many of those elements are >= a
+ * bound, in one pass (SIMD merge: a max_epu32 >= mask ANDed with
+ * the match mask; gallop/bitmap: the driving list split at the
+ * bound).
+ *
  * ## Charging convention (canonical work)
  *
  * Kernels return WorkItems — the modeled compute charge consumed by
@@ -40,7 +47,9 @@
  * ran; only host wall-clock changes.  Operations that copy rather
  * than merge charge one WorkItem per element copied (the
  * intersectMany single-list pass-through); O(1) reads (the
- * intersectManyCount single-list size probe) charge 0.  Callers
+ * intersectManyCount single-list size probe) charge 0.  Count-above
+ * calls charge the canonical work of their full inputs, the same as
+ * the materializing call, however the bound splits them.  Callers
  * that alias an already-materialized list instead of copying charge
  * nothing — the transfer was already charged by the provider layer.
  *
@@ -176,6 +185,21 @@ WorkItems subtractInto(std::span<const VertexId> a,
                        std::vector<VertexId> &out);
 
 /**
+ * Count-above kernels (count-only terminal levels): @p total =
+ * |a ∩ b| (or |a \ b|) and @p above = how many of those elements
+ * are >= @p bound, in one pass and without materializing.  The
+ * charge is the canonical work of the full inputs, the same as
+ * intersectInto / subtractInto on them.
+ */
+WorkItems intersectCountAbove(std::span<const VertexId> a,
+                              std::span<const VertexId> b,
+                              VertexId bound, Count &total,
+                              Count &above);
+WorkItems subtractCountAbove(std::span<const VertexId> a,
+                             std::span<const VertexId> b,
+                             VertexId bound, Count &total, Count &above);
+
+/**
  * out = intersection of all @p lists (1..8), folded smallest-first
  * (stable on size ties) to keep intermediates tight.  A single list
  * is copied into @p out and charged one WorkItem per element copied.
@@ -220,6 +244,14 @@ WorkItems gallopIntersectCount(std::span<const VertexId> a,
 WorkItems gallopSubtractInto(std::span<const VertexId> a,
                              std::span<const VertexId> b,
                              std::vector<VertexId> &out);
+WorkItems gallopIntersectCountAbove(std::span<const VertexId> a,
+                                    std::span<const VertexId> b,
+                                    VertexId bound, Count &total,
+                                    Count &above);
+WorkItems gallopSubtractCountAbove(std::span<const VertexId> a,
+                                   std::span<const VertexId> b,
+                                   VertexId bound, Count &total,
+                                   Count &above);
 
 /**
  * Bitmap kernels: @p hub_list is N(h) and @p row its bitmap words
@@ -236,6 +268,16 @@ WorkItems bitmapSubtractInto(std::span<const VertexId> a,
                              std::span<const VertexId> hub_list,
                              const std::uint64_t *row,
                              std::vector<VertexId> &out);
+WorkItems bitmapIntersectCountAbove(std::span<const VertexId> a,
+                                    std::span<const VertexId> hub_list,
+                                    const std::uint64_t *row,
+                                    VertexId bound, Count &total,
+                                    Count &above);
+WorkItems bitmapSubtractCountAbove(std::span<const VertexId> a,
+                                   std::span<const VertexId> hub_list,
+                                   const std::uint64_t *row,
+                                   VertexId bound, Count &total,
+                                   Count &above);
 /// @}
 
 /** @name SIMD tier (AVX2, runtime-detected)
@@ -266,6 +308,10 @@ WorkItems simdMergeIntersectInto(std::span<const VertexId> a,
 WorkItems simdMergeIntersectCount(std::span<const VertexId> a,
                                   std::span<const VertexId> b,
                                   Count &count);
+WorkItems simdMergeIntersectCountAbove(std::span<const VertexId> a,
+                                       std::span<const VertexId> b,
+                                       VertexId bound, Count &total,
+                                       Count &above);
 
 /** SIMD galloping kernels; @p a is the smaller (driving) list. */
 WorkItems simdGallopIntersectInto(std::span<const VertexId> a,
@@ -277,6 +323,14 @@ WorkItems simdGallopIntersectCount(std::span<const VertexId> a,
 WorkItems simdGallopSubtractInto(std::span<const VertexId> a,
                                  std::span<const VertexId> b,
                                  std::vector<VertexId> &out);
+WorkItems simdGallopIntersectCountAbove(std::span<const VertexId> a,
+                                        std::span<const VertexId> b,
+                                        VertexId bound, Count &total,
+                                        Count &above);
+WorkItems simdGallopSubtractCountAbove(std::span<const VertexId> a,
+                                       std::span<const VertexId> b,
+                                       VertexId bound, Count &total,
+                                       Count &above);
 
 namespace detail
 {
@@ -287,6 +341,24 @@ Count simdBitmapCount(std::span<const VertexId> a,
 void simdBitmapFilter(std::span<const VertexId> a,
                       const std::uint64_t *row, bool keep_members,
                       std::vector<VertexId> &out);
+
+/** Stable smallest-first ordering of @p n lists: insertion sort is
+ *  branch-light at fold sizes (<= 8) and, unlike std::sort,
+ *  guarantees a deterministic order on size ties. */
+template <typename List>
+void
+sortBySizeStable(List *lists, std::size_t n)
+{
+    for (std::size_t i = 1; i < n; ++i) {
+        const List key = lists[i];
+        std::size_t j = i;
+        while (j > 0 && lists[j - 1].size() > key.size()) {
+            lists[j] = lists[j - 1];
+            --j;
+        }
+        lists[j] = key;
+    }
+}
 } // namespace detail
 /// @}
 
@@ -339,6 +411,17 @@ class KernelDispatcher
     WorkItems subtractInto(const ListRef &a, const ListRef &b,
                            std::vector<VertexId> &out);
 
+    /** Count forms of intersectInto / subtractInto: @p total
+     *  elements, @p above of them >= @p bound.  The same kernel
+     *  choice, one counter tick and the same canonical charge as
+     *  the materializing call on the same inputs. */
+    WorkItems intersectCountAbove(const ListRef &a, const ListRef &b,
+                                  VertexId bound, Count &total,
+                                  Count &above);
+    WorkItems subtractCountAbove(const ListRef &a, const ListRef &b,
+                                 VertexId bound, Count &total,
+                                 Count &above);
+
     /** Smallest-first folds mirroring the reference free functions
      *  (identical fold order, hence identical canonical charges). */
     WorkItems intersectMany(std::span<const ListRef> lists,
@@ -352,6 +435,21 @@ class KernelDispatcher
   private:
     /** Hub bitmap of @p ref's source, or nullptr. */
     const std::uint64_t *rowFor(const ListRef &ref) const;
+
+    /** The kernel one set operation runs, plus the hub row it
+     *  probes when that kernel is Bitmap. */
+    struct Choice
+    {
+        KernelKind kind;
+        const std::uint64_t *row;
+    };
+
+    /** Kernel for small ∩ large (small.size() <= large.size()),
+     *  ticked in the counters. */
+    Choice chooseIntersect(const ListRef &small, const ListRef &large);
+
+    /** Kernel for a \ b, ticked in the counters. */
+    Choice chooseSubtract(const ListRef &a, const ListRef &b);
 
     KernelMode mode_;
     const Graph *graph_;

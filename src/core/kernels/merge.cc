@@ -114,28 +114,57 @@ subtractInto(std::span<const VertexId> a, std::span<const VertexId> b,
     return i + j;
 }
 
-namespace
+WorkItems
+intersectCountAbove(std::span<const VertexId> a,
+                    std::span<const VertexId> b, VertexId bound,
+                    Count &total, Count &above)
 {
-
-/** Stable smallest-first ordering of <= 8 spans: insertion sort is
- *  branch-light at this size and, unlike std::sort, guarantees a
- *  deterministic order on size ties. */
-template <typename List>
-void
-sortBySizeStable(std::array<List, 8> &lists, std::size_t n)
-{
-    for (std::size_t i = 1; i < n; ++i) {
-        const List key = lists[i];
-        std::size_t j = i;
-        while (j > 0 && lists[j - 1].size() > key.size()) {
-            lists[j] = lists[j - 1];
-            --j;
+    Count t = 0;
+    Count up = 0;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < a.size() && j < b.size()) {
+        if (a[i] < b[j]) {
+            ++i;
+        } else if (a[i] > b[j]) {
+            ++j;
+        } else {
+            ++t;
+            up += a[i] >= bound;
+            ++i;
+            ++j;
         }
-        lists[j] = key;
     }
+    total = t;
+    above = up;
+    return i + j;
 }
 
-} // namespace
+WorkItems
+subtractCountAbove(std::span<const VertexId> a,
+                   std::span<const VertexId> b, VertexId bound,
+                   Count &total, Count &above)
+{
+    Count t = 0;
+    Count up = 0;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < a.size()) {
+        if (j == b.size() || a[i] < b[j]) {
+            ++t;
+            up += a[i] >= bound;
+            ++i;
+        } else if (a[i] > b[j]) {
+            ++j;
+        } else {
+            ++i;
+            ++j;
+        }
+    }
+    total = t;
+    above = up;
+    return i + j;
+}
 
 WorkItems
 intersectMany(std::span<const std::span<const VertexId>> lists,
@@ -147,7 +176,7 @@ intersectMany(std::span<const std::span<const VertexId>> lists,
     // array keeps this allocation-free (hot path).
     std::array<std::span<const VertexId>, 8> sorted;
     std::copy(lists.begin(), lists.end(), sorted.begin());
-    sortBySizeStable(sorted, lists.size());
+    detail::sortBySizeStable(sorted.data(), lists.size());
     if (lists.size() == 1) {
         // Pass-through materializes a copy; charge it (one WorkItem
         // per element copied — see the charging convention).

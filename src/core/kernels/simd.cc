@@ -190,6 +190,52 @@ avx2MergeIntersectCount(std::span<const VertexId> a,
     return canonicalIntersectWork(a, b);
 }
 
+/** avx2MergeIntersectCount that also counts the matches >= @p bound:
+ *  a lane is >= bound when max_epu32(lane, bound) == lane, and that
+ *  mask is ANDed with the match mask before the second popcount. */
+KHUZDUL_SIMD_TARGET WorkItems
+avx2MergeIntersectCountAbove(std::span<const VertexId> a,
+                             std::span<const VertexId> b,
+                             VertexId bound, Count &total, Count &above)
+{
+    const __m256i bv = _mm256_set1_epi32(static_cast<int>(bound));
+    Count t = 0;
+    Count up = 0;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i + 8 <= a.size() && j + 8 <= b.size()) {
+        const __m256i va = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(a.data() + i));
+        const __m256i vb = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(b.data() + j));
+        const int mask = _mm256_movemask_ps(
+            _mm256_castsi256_ps(matchMask(va, vb)));
+        const int ge = _mm256_movemask_ps(_mm256_castsi256_ps(
+            _mm256_cmpeq_epi32(_mm256_max_epu32(va, bv), va)));
+        t += std::popcount(static_cast<unsigned>(mask));
+        up += std::popcount(static_cast<unsigned>(mask & ge));
+        const VertexId amax = a[i + 7];
+        const VertexId bmax = b[j + 7];
+        i += amax <= bmax ? 8 : 0;
+        j += bmax <= amax ? 8 : 0;
+    }
+    while (i < a.size() && j < b.size()) {
+        if (a[i] < b[j]) {
+            ++i;
+        } else if (a[i] > b[j]) {
+            ++j;
+        } else {
+            ++t;
+            up += a[i] >= bound;
+            ++i;
+            ++j;
+        }
+    }
+    total = t;
+    above = up;
+    return canonicalIntersectWork(a, b);
+}
+
 /**
  * gallopLowerBound with the final binary-search steps replaced by
  * one 8-lane >= compare: doubling probes bracket the target, binary
@@ -256,26 +302,6 @@ avx2GallopIntersectInto(std::span<const VertexId> a,
 }
 
 KHUZDUL_SIMD_TARGET WorkItems
-avx2GallopIntersectCount(std::span<const VertexId> a,
-                         std::span<const VertexId> b, Count &count)
-{
-    count = 0;
-    const WorkItems work = canonicalIntersectWork(a, b);
-    const VertexId *cursor = b.data();
-    const VertexId *const end = cursor + b.size();
-    for (const VertexId x : a) {
-        cursor = avx2GallopLowerBound(cursor, end, x);
-        if (cursor == end)
-            break;
-        if (*cursor == x) {
-            ++count;
-            ++cursor;
-        }
-    }
-    return work;
-}
-
-KHUZDUL_SIMD_TARGET WorkItems
 avx2GallopSubtractInto(std::span<const VertexId> a,
                        std::span<const VertexId> b,
                        std::vector<VertexId> &out)
@@ -292,6 +318,82 @@ avx2GallopSubtractInto(std::span<const VertexId> a,
             out.push_back(x);
     }
     return work;
+}
+
+/** Elements of @p a found in [cursor, end), advancing @p cursor. */
+KHUZDUL_SIMD_TARGET Count
+avx2GallopMatches(std::span<const VertexId> a, const VertexId *&cursor,
+                  const VertexId *end)
+{
+    Count count = 0;
+    for (const VertexId x : a) {
+        cursor = avx2GallopLowerBound(cursor, end, x);
+        if (cursor == end)
+            break;
+        if (*cursor == x) {
+            ++count;
+            ++cursor;
+        }
+    }
+    return count;
+}
+
+/** Elements of @p a not found in [cursor, end), advancing
+ *  @p cursor. */
+KHUZDUL_SIMD_TARGET Count
+avx2GallopMisses(std::span<const VertexId> a, const VertexId *&cursor,
+                 const VertexId *end)
+{
+    Count count = 0;
+    for (const VertexId x : a) {
+        cursor = avx2GallopLowerBound(cursor, end, x);
+        if (cursor != end && *cursor == x)
+            ++cursor;
+        else
+            ++count;
+    }
+    return count;
+}
+
+KHUZDUL_SIMD_TARGET WorkItems
+avx2GallopIntersectCount(std::span<const VertexId> a,
+                         std::span<const VertexId> b, Count &count)
+{
+    const VertexId *cursor = b.data();
+    count = avx2GallopMatches(a, cursor, b.data() + b.size());
+    return canonicalIntersectWork(a, b);
+}
+
+KHUZDUL_SIMD_TARGET WorkItems
+avx2GallopIntersectCountAbove(std::span<const VertexId> a,
+                       std::span<const VertexId> b, VertexId bound,
+                       Count &total, Count &above)
+{
+    // The driving list splits at the bound; the cursor carries over.
+    const std::size_t split = static_cast<std::size_t>(
+        std::lower_bound(a.begin(), a.end(), bound) - a.begin());
+    const VertexId *cursor = b.data();
+    const VertexId *const end = cursor + b.size();
+    const Count below = avx2GallopMatches(a.first(split), cursor, end);
+    above = avx2GallopMatches(a.subspan(split), cursor, end);
+    total = below + above;
+    return canonicalIntersectWork(a, b);
+}
+
+KHUZDUL_SIMD_TARGET WorkItems
+avx2GallopSubtractCountAbove(std::span<const VertexId> a,
+                       std::span<const VertexId> b, VertexId bound,
+                       Count &total, Count &above)
+{
+    // The driving list splits at the bound; the cursor carries over.
+    const std::size_t split = static_cast<std::size_t>(
+        std::lower_bound(a.begin(), a.end(), bound) - a.begin());
+    const VertexId *cursor = b.data();
+    const VertexId *const end = cursor + b.size();
+    const Count below = avx2GallopMisses(a.first(split), cursor, end);
+    above = avx2GallopMisses(a.subspan(split), cursor, end);
+    total = below + above;
+    return canonicalSubtractWork(a, b);
 }
 
 /** Per-lane bitmap bit: gather the 32-bit word holding each vertex's
@@ -440,6 +542,43 @@ simdGallopSubtractInto(std::span<const VertexId> a,
         return avx2GallopSubtractInto(a, b, out);
 #endif
     return gallopSubtractInto(a, b, out);
+}
+
+WorkItems
+simdMergeIntersectCountAbove(std::span<const VertexId> a,
+                             std::span<const VertexId> b, VertexId bound,
+                             Count &total, Count &above)
+{
+#if KHUZDUL_SIMD_AVX2
+    if (simdAvailable())
+        return avx2MergeIntersectCountAbove(a, b, bound, total, above);
+#endif
+    return intersectCountAbove(a, b, bound, total, above);
+}
+
+WorkItems
+simdGallopIntersectCountAbove(std::span<const VertexId> a,
+                              std::span<const VertexId> b,
+                              VertexId bound, Count &total,
+                              Count &above)
+{
+#if KHUZDUL_SIMD_AVX2
+    if (simdAvailable())
+        return avx2GallopIntersectCountAbove(a, b, bound, total, above);
+#endif
+    return gallopIntersectCountAbove(a, b, bound, total, above);
+}
+
+WorkItems
+simdGallopSubtractCountAbove(std::span<const VertexId> a,
+                             std::span<const VertexId> b, VertexId bound,
+                             Count &total, Count &above)
+{
+#if KHUZDUL_SIMD_AVX2
+    if (simdAvailable())
+        return avx2GallopSubtractCountAbove(a, b, bound, total, above);
+#endif
+    return gallopSubtractCountAbove(a, b, bound, total, above);
 }
 
 namespace detail

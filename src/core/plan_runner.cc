@@ -28,6 +28,7 @@ struct Runner
     std::array<std::vector<VertexId>, kMaxPatternSize> candidates{};
 
     IepMasks iep;
+    CandidateTally tally;
 
     Runner(const Graph &graph, const ExtendPlan &p, MatchVisitor *vis,
            RunnerHooks *hooks)
@@ -56,14 +57,28 @@ struct Runner
         step.iepMasks(prefix_len, candidates[prefix_len - 1], iep);
         for (std::size_t m = 0; m < plan.iep.masks.size(); ++m)
             result.workItems += iep.work[m];
-        result.rawCount += foldIep(plan.iep, iep.sizes);
+        result.rawCount = addRawCount(
+            result.rawCount, foldIep(plan.iep, iep.sizes),
+            "the DFS runner");
     }
 
-    /** Terminal without IEP: scan position n-1 candidates. */
+    /** Terminal without IEP: count position n-1 candidates, or
+     *  scan them when a visitor needs the matches or the level is
+     *  not countable. */
     void
     terminalScan()
     {
         const int t = plan.pattern.size() - 1;
+        if (!visitor && step.countable(t)) {
+            result.workItems += step.countCandidates(
+                t, candidates[t - 1], candidates[t], tally);
+            result.candidatesChecked += tally.total;
+            result.rawCount = addRawCount(
+                result.rawCount,
+                rawCountOf(tally.accepted(), "the DFS runner"),
+                "the DFS runner");
+            return;
+        }
         buildCandidates(t);
         for (const VertexId candidate : candidates[t]) {
             if (!accept(t, candidate))

@@ -41,10 +41,12 @@ struct RunnerResult
     /** Partial embeddings (internal tree nodes) visited. */
     Count embeddingsVisited = 0;
 
+    /** Adds @p other in; the raw count is checked (addRawCount). */
     void
     accumulate(const RunnerResult &other)
     {
-        rawCount += other.rawCount;
+        rawCount =
+            addRawCount(rawCount, other.rawCount, "a runner result");
         workItems += other.workItems;
         candidatesChecked += other.candidatesChecked;
         embeddingsVisited += other.embeddingsVisited;

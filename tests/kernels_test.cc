@@ -4,7 +4,8 @@
  * (core/kernels): every kernel must agree element-for-element with
  * the reference two-pointer merge and charge the identical canonical
  * WorkItems on randomized and adversarial inputs; the dispatcher
- * must be mode-invariant in outputs and charges; the hub-bitmap
+ * must be mode-invariant in outputs and charges; the count-above
+ * kernels must agree with merge-then-filter; the hub-bitmap
  * index must be correct, capped and deterministic.
  */
 
@@ -481,6 +482,232 @@ TEST(Kernels, HubBitmapAdmissionIsCappedAndHottestFirst)
     EXPECT_EQ(g.hubBitmapCount(), 0u);
     EXPECT_EQ(g.hubBitmapBytes(), 0u);
     EXPECT_EQ(g.hubBitmapRow(0), nullptr);
+}
+
+/** Bounds that split a result every way: 0, below the smallest
+ *  input element, equal to an element of each list (and of the
+ *  result when there is one), mid-range, and past the largest. */
+std::vector<VertexId>
+boundsFor(std::span<const VertexId> a, std::span<const VertexId> b,
+          std::span<const VertexId> result)
+{
+    std::vector<VertexId> bounds = {0};
+    VertexId lo = ~VertexId{0};
+    VertexId hi = 0;
+    for (const auto list : {a, b}) {
+        if (list.empty())
+            continue;
+        lo = std::min(lo, list.front());
+        hi = std::max(hi, list.back());
+        bounds.push_back(list[list.size() / 2]);
+    }
+    if (hi == 0 && lo == ~VertexId{0})
+        return {0, 1};
+    if (lo > 0)
+        bounds.push_back(lo - 1);
+    if (!result.empty())
+        bounds.push_back(result[result.size() / 3]);
+    bounds.push_back(lo + (hi - lo) / 2);
+    bounds.push_back(hi + 1);
+    return bounds;
+}
+
+Count
+countAtLeast(const std::vector<VertexId> &list, VertexId bound)
+{
+    return static_cast<Count>(
+        list.end() - std::lower_bound(list.begin(), list.end(), bound));
+}
+
+using CountAboveKernel = core::WorkItems (*)(std::span<const VertexId>,
+                                             std::span<const VertexId>,
+                                             VertexId, Count &, Count &);
+
+/** Every free count-above kernel against merge-then-filter. */
+void
+expectCountAboveAgreement(std::span<const VertexId> a,
+                          std::span<const VertexId> b)
+{
+    std::vector<VertexId> inter;
+    std::vector<VertexId> diff;
+    const core::WorkItems inter_work = core::intersectInto(a, b, inter);
+    const core::WorkItems diff_work = core::subtractInto(a, b, diff);
+    const std::pair<const char *, CountAboveKernel> intersects[] = {
+        {"merge", core::intersectCountAbove},
+        {"gallop", core::gallopIntersectCountAbove},
+        {"simd_merge", core::simdMergeIntersectCountAbove},
+        {"simd_gallop", core::simdGallopIntersectCountAbove}};
+    const std::pair<const char *, CountAboveKernel> subtracts[] = {
+        {"merge", core::subtractCountAbove},
+        {"gallop", core::gallopSubtractCountAbove},
+        {"simd_gallop", core::simdGallopSubtractCountAbove}};
+    for (const VertexId bound : boundsFor(a, b, inter)) {
+        SCOPED_TRACE("bound " + std::to_string(bound));
+        for (const auto &[name, kernel] : intersects) {
+            Count total = 7;
+            Count above = 7;
+            EXPECT_EQ(kernel(a, b, bound, total, above), inter_work)
+                << name;
+            EXPECT_EQ(total, inter.size()) << name;
+            EXPECT_EQ(above, countAtLeast(inter, bound)) << name;
+        }
+        for (const auto &[name, kernel] : subtracts) {
+            Count total = 7;
+            Count above = 7;
+            EXPECT_EQ(kernel(a, b, bound, total, above), diff_work)
+                << name;
+            EXPECT_EQ(total, diff.size()) << name;
+            EXPECT_EQ(above, countAtLeast(diff, bound)) << name;
+        }
+    }
+}
+
+/**
+ * Count-above kernels (count-only terminal levels) against
+ * merge-then-filter on every pair of sizes 0..40 — each 8-lane tail
+ * residue of both lists — with the SIMD tier on and off.
+ */
+TEST(Kernels, CountAboveMatchesMergeThenFilter)
+{
+    for (const bool simd : {true, false}) {
+        core::setSimdEnabled(simd);
+        for (std::size_t na = 0; na <= 40; ++na)
+            for (std::size_t nb = 0; nb <= 40; ++nb) {
+                const VertexId universe =
+                    static_cast<VertexId>(2 * (na + nb) + 8);
+                const auto a = randomList(na, universe, 100 * na + nb);
+                const auto b =
+                    randomList(nb, universe, 50000 + 100 * nb + na);
+                SCOPED_TRACE("simd " + std::to_string(simd) + " sizes "
+                             + std::to_string(a.size()) + " x "
+                             + std::to_string(b.size()));
+                expectCountAboveAgreement(a, b);
+            }
+        for (const auto &[a, b] : adversarialPairs()) {
+            expectCountAboveAgreement(a, b);
+            expectCountAboveAgreement(b, a);
+        }
+    }
+    core::setSimdEnabled(true);
+}
+
+TEST(Kernels, BitmapCountAboveMatchesMergeThenFilterOnHubRows)
+{
+    const Graph g = gen::rmat(2048, 20000, 0.57, 0.19, 0.19, 5);
+    g.buildHubBitmaps(8, 32ull << 20);
+    int hubs = 0;
+    for (VertexId v = 0; v < g.numVertices() && hubs < 6; ++v) {
+        const std::uint64_t *row = g.hubBitmapRow(v);
+        if (!row)
+            continue;
+        ++hubs;
+        const auto hub_list = g.neighbors(v);
+        for (const bool simd : {true, false}) {
+            core::setSimdEnabled(simd);
+            for (std::size_t na = 0; na <= 40; ++na) {
+                const auto a =
+                    randomList(na, g.numVertices(), 900 + 41 * v + na);
+                std::vector<VertexId> inter;
+                std::vector<VertexId> diff;
+                const core::WorkItems inter_work =
+                    core::intersectInto(a, hub_list, inter);
+                const core::WorkItems diff_work =
+                    core::subtractInto(a, hub_list, diff);
+                for (const VertexId bound : boundsFor(a, hub_list, inter)) {
+                    SCOPED_TRACE("hub " + std::to_string(v) + " simd "
+                                 + std::to_string(simd) + " size "
+                                 + std::to_string(a.size()) + " bound "
+                                 + std::to_string(bound));
+                    Count total = 7;
+                    Count above = 7;
+                    EXPECT_EQ(core::bitmapIntersectCountAbove(
+                                  a, hub_list, row, bound, total, above),
+                              inter_work);
+                    EXPECT_EQ(total, inter.size());
+                    EXPECT_EQ(above, countAtLeast(inter, bound));
+                    EXPECT_EQ(core::bitmapSubtractCountAbove(
+                                  a, hub_list, row, bound, total, above),
+                              diff_work);
+                    EXPECT_EQ(total, diff.size());
+                    EXPECT_EQ(above, countAtLeast(diff, bound));
+                }
+            }
+        }
+    }
+    core::setSimdEnabled(true);
+    EXPECT_EQ(hubs, 6);
+}
+
+/**
+ * Through the dispatcher, in every mode with the SIMD tier on and
+ * off: a count-above call ticks exactly one counter, the same kind
+ * the materializing call on the same inputs ticks, and charges the
+ * same canonical work.
+ */
+TEST(Kernels, DispatcherCountAboveTicksOnceAndChargesLikeMaterializing)
+{
+    const Graph g = gen::rmat(2048, 20000, 0.57, 0.19, 0.19, 5);
+    g.buildHubBitmaps(8, 32ull << 20);
+    VertexId hub = 0;
+    for (VertexId v = 1; v < g.numVertices(); ++v)
+        if (g.degree(v) > g.degree(hub))
+            hub = v;
+    ASSERT_NE(g.hubBitmapRow(hub), nullptr);
+    const core::ListRef hub_ref(g.neighbors(hub), hub);
+    const auto wide = randomList(600, g.numVertices(), 71);
+    const auto peer = randomList(500, g.numVertices(), 72);
+
+    for (const bool simd : {true, false}) {
+        core::setSimdEnabled(simd);
+        for (const core::KernelMode mode :
+             {core::KernelMode::Auto, core::KernelMode::Merge,
+              core::KernelMode::Gallop, core::KernelMode::Bitmap,
+              core::KernelMode::Simd}) {
+            for (std::size_t na = 0; na <= 40; na += 5) {
+                const auto small = randomList(na, g.numVertices(), na);
+                const core::ListRef small_ref(small);
+                const std::pair<core::ListRef, core::ListRef> pairs[] = {
+                    {small_ref, hub_ref},
+                    {hub_ref, small_ref},
+                    {small_ref, core::ListRef(wide)},
+                    {core::ListRef(wide), core::ListRef(peer)}};
+                for (const auto &[a, b] : pairs) {
+                    SCOPED_TRACE(std::string(core::kernelModeName(mode))
+                                 + " simd " + std::to_string(simd)
+                                 + " sizes " + std::to_string(a.size())
+                                 + " x " + std::to_string(b.size()));
+                    std::vector<VertexId> inter;
+                    std::vector<VertexId> diff;
+                    core::KernelDispatcher into(mode, &g);
+                    const core::WorkItems inter_work =
+                        into.intersectInto(a, b, inter);
+                    const core::WorkItems diff_work =
+                        into.subtractInto(a, b, diff);
+                    for (const VertexId bound :
+                         boundsFor(a.list, b.list, inter)) {
+                        core::KernelDispatcher counted(mode, &g);
+                        Count total = 0;
+                        Count above = 0;
+                        EXPECT_EQ(counted.intersectCountAbove(
+                                      a, b, bound, total, above),
+                                  inter_work);
+                        EXPECT_EQ(total, inter.size());
+                        EXPECT_EQ(above, countAtLeast(inter, bound));
+                        EXPECT_EQ(counted.counters().total(), 1u);
+                        EXPECT_EQ(counted.subtractCountAbove(
+                                      a, b, bound, total, above),
+                                  diff_work);
+                        EXPECT_EQ(total, diff.size());
+                        EXPECT_EQ(above, countAtLeast(diff, bound));
+                        EXPECT_EQ(counted.counters().calls,
+                                  into.counters().calls);
+                        EXPECT_EQ(counted.counters().total(), 2u);
+                    }
+                }
+            }
+        }
+    }
+    core::setSimdEnabled(true);
 }
 
 TEST(Kernels, ModeNamesRoundTrip)

@@ -5,7 +5,8 @@
  * (cluster shape x chunk budget x cache policy x sharing switches),
  * cross-engine agreement over a pattern zoo, and plan-compiler
  * invariants over random patterns (including work equivalence of
- * the chunked engine and the DFS runner, which share one plan step).
+ * the chunked engine and the DFS runner, which share one plan step,
+ * and of the counted and scanned terminal levels).
  */
 
 #include <gtest/gtest.h>
@@ -259,6 +260,133 @@ TEST_P(RandomPatternPlans, EngineAndRunnerChargeTheSameWork)
                 << p.toString() << " induced=" << induced;
         }
     }
+}
+
+/**
+ * Count-only terminal levels (PlanStep::countCandidates) against the
+ * materializing scan.  A visitor needs every match, so a no-op
+ * visitor forces the scan on the same plan, with no other knob; the
+ * two runs must agree in count, in the full modeled dump and in
+ * every trace event's count and value sum (kernel_dispatch
+ * included), and the DFS runner's result fields and edge-list hook
+ * order must agree too.
+ */
+class NoopVisitor : public core::MatchVisitor
+{
+  public:
+    void match(std::span<const VertexId>) override { ++matches; }
+    Count matches = 0;
+};
+
+/** Edge-list accesses, folded into an order-sensitive hash. */
+class HookOrder : public core::RunnerHooks
+{
+  public:
+    void
+    onEdgeListAccess(VertexId v) override
+    {
+        hash = (hash ^ v) * 1099511628211ull;
+        ++accesses;
+    }
+    std::uint64_t hash = 14695981039346656037ull;
+    std::uint64_t accesses = 0;
+};
+
+void
+expectCountedTerminalMatchesScan(const Graph &g, const ExtendPlan &plan)
+{
+    ASSERT_FALSE(plan.hasIep);
+    ASSERT_EQ(plan.countDivisor, 1);
+    core::EngineConfig config;
+    config.cluster = sim::ClusterConfig::paperDefault(4);
+    config.chunkBytes = 16 << 10;
+    config.hubBitmapDegreeThreshold = 8;
+    config.hostThreads = 1;
+
+    core::Engine counted(g, config);
+    const Count count = counted.run(plan);
+    core::Engine scanned(g, config);
+    NoopVisitor visitor;
+    EXPECT_EQ(scanned.run(plan, &visitor), count);
+    EXPECT_EQ(visitor.matches, count);
+    EXPECT_EQ(counted.stats().toJson(false), scanned.stats().toJson(false));
+    for (std::size_t e = 0; e < sim::kNumPhaseEvents; ++e) {
+        const auto event = static_cast<sim::PhaseEvent>(e);
+        EXPECT_EQ(counted.traceCounts().count(event),
+                  scanned.traceCounts().count(event))
+            << sim::phaseEventName(event);
+        EXPECT_EQ(counted.traceCounts().valueSum(event),
+                  scanned.traceCounts().valueSum(event))
+            << sim::phaseEventName(event);
+    }
+
+    std::vector<VertexId> roots(g.numVertices());
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        roots[v] = v;
+    HookOrder counted_hooks;
+    HookOrder scanned_hooks;
+    NoopVisitor runner_visitor;
+    const core::RunnerResult run =
+        core::runPlanDfs(g, plan, roots, nullptr, &counted_hooks);
+    const core::RunnerResult scan = core::runPlanDfs(
+        g, plan, roots, &runner_visitor, &scanned_hooks);
+    EXPECT_EQ(run.rawCount, scan.rawCount);
+    EXPECT_EQ(static_cast<Count>(run.rawCount), count);
+    EXPECT_EQ(run.workItems, scan.workItems);
+    EXPECT_EQ(run.candidatesChecked, scan.candidatesChecked);
+    EXPECT_EQ(run.embeddingsVisited, scan.embeddingsVisited);
+    EXPECT_EQ(counted_hooks.accesses, scanned_hooks.accesses);
+    EXPECT_EQ(counted_hooks.hash, scanned_hooks.hash);
+}
+
+TEST_P(RandomPatternPlans, CountedTerminalMatchesScannedTerminal)
+{
+    const Pattern p = randomConnectedPattern(9000 + GetParam());
+    const Graph &g = sweepGraph();
+    const GraphProfile profile = GraphProfile::fromGraph(g);
+    int compared = 0;
+    for (const bool induced : {false, true}) {
+        PlanOptions options;
+        options.induced = induced;
+        options.useIep = false;
+        for (const ExtendPlan &plan :
+             {compileAutomine(p, options),
+              compileGraphPi(p, profile, options)}) {
+            if (plan.countDivisor != 1)
+                continue; // visitors need complete symmetry breaking
+            SCOPED_TRACE(p.toString() + " induced="
+                         + std::to_string(induced));
+            expectCountedTerminalMatchesScan(g, plan);
+            ++compared;
+        }
+    }
+    EXPECT_GT(compared, 0);
+}
+
+TEST(CountedTerminal, ServeMixShapesAndALabeledPatternMatchTheScan)
+{
+    PlanOptions options;
+    options.useIep = false;
+    for (const Pattern &p :
+         {Pattern::triangle(), Pattern::pathOf(3), Pattern::cycleOf(4),
+          Pattern::diamond(), Pattern::tailedTriangle(),
+          Pattern::clique(4), Pattern::starOf(4), Pattern::pathOf(4)}) {
+        SCOPED_TRACE(p.toString());
+        expectCountedTerminalMatchesScan(sweepGraph(),
+                                         compileAutomine(p, options));
+    }
+
+    Graph labeled = gen::rmat(220, 1500, 0.55, 0.2, 0.2, 4242);
+    std::vector<Label> labels(labeled.numVertices());
+    for (VertexId v = 0; v < labeled.numVertices(); ++v)
+        labels[v] = v % 3;
+    labeled.setLabels(std::move(labels));
+    Pattern wedge = Pattern::pathOf(3);
+    wedge.setLabel(0, 0);
+    wedge.setLabel(1, 1);
+    wedge.setLabel(2, 2);
+    expectCountedTerminalMatchesScan(labeled,
+                                     compileAutomine(wedge, options));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPatternPlans,

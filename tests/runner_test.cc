@@ -2,12 +2,14 @@
  * @file
  * Tests for the DFS plan runner and the brute-force oracle itself:
  * closed-form counts on structured graphs, visitor semantics, work
- * accounting, and the plan step's overflow-checked IEP fold.
+ * accounting, and the plan step's overflow-checked IEP fold and
+ * raw-count sums.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <set>
 
@@ -262,6 +264,55 @@ TEST(PlanStep, IepFoldOverflowRaisesFatalErrorNamingTheTerm)
     EXPECT_NE(foldError(iepOf({{1, {0}}, {1, {1}}}), halves)
                   .find("IEP term 1"),
               std::string::npos);
+}
+
+std::string
+rawCountError(const std::function<void()> &sum)
+{
+    try {
+        sum();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(PlanStep, RawCountSumsAreCheckedAtTheInt64Edges)
+{
+    const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+    EXPECT_EQ(core::addRawCount(max - 1, 1, "execution unit", 3), max);
+    EXPECT_EQ(core::addRawCount(min + 1, -1, "execution unit", 3), min);
+    EXPECT_EQ(core::addRawCount(max, min, "the DFS runner"), -1);
+    EXPECT_EQ(core::rawCountOf(static_cast<Count>(max), "the DFS runner"),
+              max);
+
+    EXPECT_NE(rawCountError([&] {
+                  core::addRawCount(max, 1, "execution unit", 5);
+              }).find("execution unit 5 overflows"),
+              std::string::npos);
+    EXPECT_NE(rawCountError([&] {
+                  core::addRawCount(min, -1, "execution unit", 0);
+              }).find("execution unit 0 overflows"),
+              std::string::npos);
+    EXPECT_NE(rawCountError([&] {
+                  core::rawCountOf(static_cast<Count>(max) + 1,
+                                   "execution unit", 2);
+              }).find("execution unit 2 overflows"),
+              std::string::npos);
+    EXPECT_NE(rawCountError([&] {
+                  core::addRawCount(max, max, "the DFS runner");
+              }).find("raw count of the DFS runner overflows"),
+              std::string::npos);
+
+    core::RunnerResult sum;
+    sum.rawCount = max;
+    core::RunnerResult one;
+    one.rawCount = 1;
+    EXPECT_THROW(sum.accumulate(one), FatalError);
+    one.rawCount = -1;
+    sum.accumulate(one);
+    EXPECT_EQ(sum.rawCount, max - 1);
 }
 
 } // namespace
