@@ -11,8 +11,10 @@
  *   2. SIMD sweep — 4k x 4k equal-size races isolating the AVX2
  *      block merge against the scalar reference.
  *   3. Hub-bitmap sweep — the same race against a real hub vertex's
- *      neighbor list with its precomputed bitset, plus the memory
- *      accounting of the bitmap index.
+ *      neighbor list with its precomputed bitset, from skewed driving
+ *      lists (ratio 131) down to near-equal ones (ratio 2 and 1, where
+ *      Auto still probes the row), plus the memory accounting of the
+ *      bitmap index.
  *   4. Engine A/B — full `count` runs per --kernel mode, asserting
  *      counts and modeled makespans are mode-invariant while
  *      reporting host wall-clock per mode.
@@ -327,7 +329,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(g.degree(hub)));
     std::vector<PairCase> hub_cases;
     std::vector<SweepRow> hub_sweeps;
-    for (const std::size_t size : {16u, 64u, 256u}) {
+    for (const std::size_t size : {16u, 64u, 256u, 1024u, 2048u}) {
         PairCase c;
         c.small = sortedRandomList(size, g.numVertices(), 13 + size);
         const auto hub_list = g.neighbors(hub);

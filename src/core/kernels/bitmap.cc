@@ -5,8 +5,9 @@
  * (Graph::buildHubBitmaps), the smaller list drives and each element
  * costs one O(1) bit test — no merge scan over the (large) hub list.
  * When the SIMD tier is live the bit tests run word-parallel, eight
- * driving elements per gather (detail::simdBitmap*).  Charges stay
- * canonical merge-equivalent work.
+ * driving elements per gather (detail::simdBitmap*), and the
+ * count-above forms fold the >= bound test into that one gather
+ * pass.  Charges stay canonical merge-equivalent work.
  */
 
 #include "core/kernels/kernels.hh"
@@ -27,12 +28,18 @@ testBit(const std::uint64_t *row, VertexId v)
     return (row[v >> 6] >> (v & 63)) & 1u;
 }
 
-/** Elements of @p a whose bit is set in @p row. */
+/** True when @p a runs on the word-parallel gather path: the one
+ *  SIMD-availability test of a bitmap kernel call. */
+bool
+gatherPath(std::span<const VertexId> a)
+{
+    return a.size() >= kSimdMinSize && simdAvailable();
+}
+
+/** Elements of @p a whose bit is set in @p row (scalar). */
 Count
 rowMembers(std::span<const VertexId> a, const std::uint64_t *row)
 {
-    if (a.size() >= kSimdMinSize && simdAvailable())
-        return detail::simdBitmapCount(a, row);
     Count count = 0;
     for (const VertexId x : a)
         count += testBit(row, x);
@@ -55,7 +62,7 @@ bitmapIntersectInto(std::span<const VertexId> a,
                     const std::uint64_t *row, std::vector<VertexId> &out)
 {
     const WorkItems work = canonicalIntersectWork(a, hub_list);
-    if (a.size() >= kSimdMinSize && simdAvailable()) {
+    if (gatherPath(a)) {
         detail::simdBitmapFilter(a, row, /*keep_members=*/true, out);
         return work;
     }
@@ -71,7 +78,8 @@ bitmapIntersectCount(std::span<const VertexId> a,
                      std::span<const VertexId> hub_list,
                      const std::uint64_t *row, Count &count)
 {
-    count = rowMembers(a, row);
+    count = gatherPath(a) ? detail::simdBitmapCount(a, row)
+                          : rowMembers(a, row);
     return canonicalIntersectWork(a, hub_list);
 }
 
@@ -81,9 +89,14 @@ bitmapIntersectCountAbove(std::span<const VertexId> a,
                           const std::uint64_t *row, VertexId bound,
                           Count &total, Count &above)
 {
-    const std::size_t split = splitAt(a, bound);
-    above = rowMembers(a.subspan(split), row);
-    total = rowMembers(a.first(split), row) + above;
+    if (gatherPath(a)) {
+        detail::simdBitmapCountAbove(a, row, /*keep_members=*/true,
+                                     bound, total, above);
+    } else {
+        const std::size_t split = splitAt(a, bound);
+        above = rowMembers(a.subspan(split), row);
+        total = rowMembers(a.first(split), row) + above;
+    }
     return canonicalIntersectWork(a, hub_list);
 }
 
@@ -93,7 +106,7 @@ bitmapSubtractInto(std::span<const VertexId> a,
                    const std::uint64_t *row, std::vector<VertexId> &out)
 {
     const WorkItems work = canonicalSubtractWork(a, hub_list);
-    if (a.size() >= kSimdMinSize && simdAvailable()) {
+    if (gatherPath(a)) {
         detail::simdBitmapFilter(a, row, /*keep_members=*/false, out);
         return work;
     }
@@ -110,9 +123,14 @@ bitmapSubtractCountAbove(std::span<const VertexId> a,
                          const std::uint64_t *row, VertexId bound,
                          Count &total, Count &above)
 {
-    const std::size_t split = splitAt(a, bound);
-    above = (a.size() - split) - rowMembers(a.subspan(split), row);
-    total = split - rowMembers(a.first(split), row) + above;
+    if (gatherPath(a)) {
+        detail::simdBitmapCountAbove(a, row, /*keep_members=*/false,
+                                     bound, total, above);
+    } else {
+        const std::size_t split = splitAt(a, bound);
+        above = (a.size() - split) - rowMembers(a.subspan(split), row);
+        total = split - rowMembers(a.first(split), row) + above;
+    }
     return canonicalSubtractWork(a, hub_list);
 }
 

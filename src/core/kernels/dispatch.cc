@@ -1,12 +1,13 @@
 /**
  * @file
  * Per-call kernel selection.  The dispatcher orders each pairwise
- * operation small-list-first, then picks bitmap (hub row available
- * and ratio >= kBitmapRatio), galloping (ratio >= kGallopRatio) or
- * merging — vectorized variants when the SIMD tier is live and the
- * driving list clears kSimdMinSize — or obeys a forced KernelMode
- * for A/B runs.  Every path returns the canonical merge-equivalent
- * charge, so mode choice is invisible to the cost model.
+ * operation small-list-first, then picks bitmap (a hub row on the
+ * probed side, at any size ratio), galloping (ratio >= kGallopRatio)
+ * or merging — vectorized variants when the SIMD tier is live and
+ * the driving list clears kSimdMinSize — or obeys a forced
+ * KernelMode for A/B runs.  Every path returns the canonical
+ * merge-equivalent charge, so mode choice is invisible to the cost
+ * model.
  */
 
 #include "core/kernels/kernels.hh"
@@ -108,8 +109,10 @@ KernelDispatcher::chooseIntersect(const ListRef &small,
       case KernelMode::Auto:
         if (small.list.empty())
             break; // trivial; merge returns immediately
-        if (large.size() >= kBitmapRatio * small.size()
-            && (choice.row = rowFor(large))) {
+        // A hub row wins at any size ratio: one bit test per driving
+        // element beats every scan of the probed list end to end
+        // (DESIGN.md §5.6).
+        if ((choice.row = rowFor(large))) {
             choice.kind = KernelKind::Bitmap;
         } else if (large.size() >= kGallopRatio * small.size()) {
             // Scalar gallop, deliberately: the sweep shows the
@@ -153,9 +156,8 @@ KernelDispatcher::chooseSubtract(const ListRef &a, const ListRef &b)
       case KernelMode::Auto:
         if (a.list.empty() || b.list.empty())
             break;
-        if (b.size() >= kBitmapRatio * a.size()
-            && (choice.row = rowFor(b)))
-            choice.kind = KernelKind::Bitmap;
+        if ((choice.row = rowFor(b)))
+            choice.kind = KernelKind::Bitmap; // see chooseIntersect
         else if (b.size() >= kGallopRatio * a.size())
             choice.kind = KernelKind::Gallop; // see chooseIntersect
         break;

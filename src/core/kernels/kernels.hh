@@ -23,15 +23,18 @@
  * hosts or builds without AVX2 every entry point falls back to the
  * scalar kernels with byte-identical outputs and charges.
  *
- * A KernelDispatcher picks the kernel per call from the size ratio
- * and hub-bitmap availability (or a forced KernelMode for A/B runs).
+ * A KernelDispatcher picks the kernel per call (or obeys a forced
+ * KernelMode for A/B runs): bitmap whenever the probed list has a
+ * hub row, at any size ratio; otherwise gallop, SIMD merge or merge
+ * by size ratio and driving-list size.
  *
  * Besides materializing (…Into) and counting (…Count) forms, every
  * kind has count-above forms for count-only terminal levels:
  * |a ∩ b| or |a \ b| plus how many of those elements are >= a
  * bound, in one pass (SIMD merge: a max_epu32 >= mask ANDed with
- * the match mask; gallop/bitmap: the driving list split at the
- * bound).
+ * the match mask; SIMD bitmap: the same mask folded into the
+ * gather loop; gallop and scalar bitmap: the driving list split at
+ * the bound).
  *
  * ## Charging convention (canonical work)
  *
@@ -334,13 +337,19 @@ WorkItems simdGallopSubtractCountAbove(std::span<const VertexId> a,
 
 namespace detail
 {
-/** Word-parallel bitmap row probes (gather + variable shift); the
- *  bitmap kernels call these only when simdAvailable(). */
+/** Word-parallel bitmap row probes (gather + variable shift).
+ *  Precondition: simdAvailable() — the bitmap kernels test it once
+ *  per call and these entry points do not test it again. */
 Count simdBitmapCount(std::span<const VertexId> a,
                       const std::uint64_t *row);
 void simdBitmapFilter(std::span<const VertexId> a,
                       const std::uint64_t *row, bool keep_members,
                       std::vector<VertexId> &out);
+/** One gather pass: @p total = elements of @p a whose row bit equals
+ *  @p keep_members, @p above = how many of those are >= @p bound. */
+void simdBitmapCountAbove(std::span<const VertexId> a,
+                          const std::uint64_t *row, bool keep_members,
+                          VertexId bound, Count &total, Count &above);
 
 /** Stable smallest-first ordering of @p n lists: insertion sort is
  *  branch-light at fold sizes (<= 8) and, unlike std::sort,
@@ -364,22 +373,24 @@ sortBySizeStable(List *lists, std::size_t n)
 
 /** @name Dispatch heuristics (size-ratio thresholds)
  *
- * Retuned from the BENCH_kernels.json calibration sweep: gallop's
- * crossover against merge sits between ratio 4 (merge wins 1.15x)
- * and ratio 15 (gallop wins 1.7x), so the gallop threshold dropped
- * from 16 to 8.  On the skew branch Auto also prefers *scalar*
- * gallop: the sweep shows SimdGallop's vectorized landing window
- * losing to the plain binary narrow at every ratio >= kGallopRatio,
- * so under Auto the
- * SIMD tier engages only as SimdMerge (near-equal sizes) and the
- * word-parallel bitmap path; SimdGallop stays reachable through
- * KernelMode::Simd and the benchmarks.
+ * A hub row on the probed side (the larger list for ∩, b for a \ b)
+ * selects Bitmap before any threshold applies, at every size ratio:
+ * whole-workload runs on lj (DESIGN.md §5.6) showed the bit tests
+ * beating every scan of the probed list, near-equal sizes included.
+ * Without a row the thresholds come from the BENCH_kernels.json
+ * calibration sweep: gallop's crossover against merge sits between
+ * ratio 4 (merge wins 1.15x) and ratio 15 (gallop wins 1.7x), so
+ * the gallop threshold is 8.  On the skew branch Auto prefers
+ * *scalar* gallop: the sweep shows SimdGallop's vectorized landing
+ * window losing to the plain binary narrow at every ratio >=
+ * kGallopRatio, so under Auto the SIMD tier engages only as
+ * SimdMerge (near-equal sizes) and the word-parallel bitmap path;
+ * SimdGallop stays reachable through KernelMode::Simd and the
+ * benchmarks.
  */
 /// @{
 /** Gallop when the larger list is >= this multiple of the smaller. */
 inline constexpr std::size_t kGallopRatio = 8;
-/** Bitmap (if a hub row exists) at this ratio and above. */
-inline constexpr std::size_t kBitmapRatio = 4;
 /** SIMD kernels engage when the driving list has at least this many
  *  elements (below this the vector setup outweighs the win). */
 inline constexpr std::size_t kSimdMinSize = 16;

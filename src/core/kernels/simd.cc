@@ -2,9 +2,11 @@
  * @file
  * AVX2 SIMD tier: shuffle-based block merge intersection, galloping
  * search with a vectorized landing window, and word-parallel bitmap
- * row probes.  Every kernel here produces output element-for-element
- * identical to the reference merge and charges the same canonical
- * merge-equivalent WorkItems — the tier changes host wall-clock only.
+ * row probes (counting, filtering, and counting above a bound in one
+ * gather pass).  Every kernel here produces output
+ * element-for-element identical to the reference merge and charges
+ * the same canonical merge-equivalent WorkItems — the tier changes
+ * host wall-clock only.
  *
  * The AVX2 code is compiled per-function (target("avx2")) rather
  * than with a TU-wide -mavx2, so nothing outside the explicitly
@@ -19,6 +21,8 @@
 
 #include <algorithm>
 #include <bit>
+
+#include "support/check.hh"
 
 #if !defined(KHUZDUL_NO_SIMD) && defined(__x86_64__)                   \
     && (defined(__GNUC__) || defined(__clang__))
@@ -409,6 +413,18 @@ gatherBits(const int *words, __m256i va)
                             _mm256_set1_epi32(1));
 }
 
+/** Sum of the eight 32-bit lanes of a per-lane tally. */
+KHUZDUL_SIMD_TARGET inline Count
+laneSum(__m256i acc)
+{
+    alignas(32) std::uint32_t lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
+    Count c = 0;
+    for (const std::uint32_t lane : lanes)
+        c += lane;
+    return c;
+}
+
 KHUZDUL_SIMD_TARGET Count
 avx2BitmapCount(std::span<const VertexId> a, const std::uint64_t *row)
 {
@@ -420,14 +436,48 @@ avx2BitmapCount(std::span<const VertexId> a, const std::uint64_t *row)
             reinterpret_cast<const __m256i *>(a.data() + i));
         acc = _mm256_add_epi32(acc, gatherBits(words, va));
     }
-    alignas(32) std::uint32_t lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    Count c = 0;
-    for (const std::uint32_t lane : lanes)
-        c += lane;
+    Count c = laneSum(acc);
     for (; i < a.size(); ++i)
         c += testBit(row, a[i]);
     return c;
+}
+
+/** avx2BitmapCount that also counts the kept lanes >= @p bound: the
+ *  per-lane bit (flipped for subtraction) is ANDed with the
+ *  max_epu32 >= mask of avx2MergeIntersectCountAbove, so one gather
+ *  pass replaces a split search and two counting passes. */
+KHUZDUL_SIMD_TARGET void
+avx2BitmapCountAbove(std::span<const VertexId> a,
+                     const std::uint64_t *row, bool keep_members,
+                     VertexId bound, Count &total, Count &above)
+{
+    const int *words = reinterpret_cast<const int *>(row);
+    const __m256i flip = _mm256_set1_epi32(keep_members ? 0 : 1);
+    const __m256i bv = _mm256_set1_epi32(static_cast<int>(bound));
+    __m256i kept = _mm256_setzero_si256();
+    __m256i kept_up = _mm256_setzero_si256();
+    std::size_t i = 0;
+    for (; i + 8 <= a.size(); i += 8) {
+        const __m256i va = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(a.data() + i));
+        const __m256i bit =
+            _mm256_xor_si256(gatherBits(words, va), flip);
+        const __m256i ge =
+            _mm256_cmpeq_epi32(_mm256_max_epu32(va, bv), va);
+        kept = _mm256_add_epi32(kept, bit);
+        kept_up = _mm256_add_epi32(kept_up, _mm256_and_si256(bit, ge));
+    }
+    Count t = laneSum(kept);
+    Count up = laneSum(kept_up);
+    for (; i < a.size(); ++i) {
+        const VertexId x = a[i];
+        if (testBit(row, x) == keep_members) {
+            ++t;
+            up += x >= bound;
+        }
+    }
+    total = t;
+    above = up;
 }
 
 KHUZDUL_SIMD_TARGET void
@@ -584,34 +634,63 @@ simdGallopSubtractCountAbove(std::span<const VertexId> a,
 namespace detail
 {
 
+// Callers guarantee simdAvailable() (see kernels.hh), so these entry
+// points test nothing; with the tier compiled out none is reachable.
+#if KHUZDUL_SIMD_AVX2
+
 Count
 simdBitmapCount(std::span<const VertexId> a, const std::uint64_t *row)
 {
-#if KHUZDUL_SIMD_AVX2
-    if (simdAvailable())
-        return avx2BitmapCount(a, row);
-#endif
-    Count c = 0;
-    for (const VertexId x : a)
-        c += testBit(row, x);
-    return c;
+    return avx2BitmapCount(a, row);
 }
 
 void
 simdBitmapFilter(std::span<const VertexId> a, const std::uint64_t *row,
                  bool keep_members, std::vector<VertexId> &out)
 {
-#if KHUZDUL_SIMD_AVX2
-    if (simdAvailable()) {
-        avx2BitmapFilter(a, row, keep_members, out);
-        return;
-    }
-#endif
-    out.clear();
-    for (const VertexId x : a)
-        if (testBit(row, x) == keep_members)
-            out.push_back(x);
+    avx2BitmapFilter(a, row, keep_members, out);
 }
+
+void
+simdBitmapCountAbove(std::span<const VertexId> a,
+                     const std::uint64_t *row, bool keep_members,
+                     VertexId bound, Count &total, Count &above)
+{
+    avx2BitmapCountAbove(a, row, keep_members, bound, total, above);
+}
+
+#else
+
+namespace
+{
+[[noreturn]] void
+tierCompiledOut()
+{
+    KHUZDUL_PANIC("SIMD bitmap probe called with the tier compiled out");
+}
+} // namespace
+
+Count
+simdBitmapCount(std::span<const VertexId>, const std::uint64_t *)
+{
+    tierCompiledOut();
+}
+
+void
+simdBitmapFilter(std::span<const VertexId>, const std::uint64_t *, bool,
+                 std::vector<VertexId> &)
+{
+    tierCompiledOut();
+}
+
+void
+simdBitmapCountAbove(std::span<const VertexId>, const std::uint64_t *,
+                     bool, VertexId, Count &, Count &)
+{
+    tierCompiledOut();
+}
+
+#endif // KHUZDUL_SIMD_AVX2
 
 } // namespace detail
 

@@ -60,14 +60,15 @@ GraphPiRepEngine::count(const Pattern &p, const PlanOptions &options)
         const auto work = core::runPlanDfs(
             *graph_, plan,
             {chunk_roots.data(), chunk_roots.size()});
-        raw += work.rawCount;
+        const NodeId node = c % nodes;
+        raw = core::addRawCount(raw, work.rawCount, "GraphPi-rep node",
+                                node);
         const double work_ns =
             static_cast<double>(work.workItems) * cost.intersectPerItemNs
             + static_cast<double>(work.candidatesChecked)
                 * cost.candidateCheckNs
             + static_cast<double>(work.embeddingsVisited)
                 * cost.embeddingCreateNs;
-        const NodeId node = c % nodes;
         node_work[node] += work_ns;
         node_max_chunk[node] = std::max(node_max_chunk[node], work_ns);
         result.stats.nodes[node].intersectionItems += work.workItems;

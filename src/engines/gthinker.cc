@@ -113,7 +113,8 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
             const auto work = core::runPlanDfs(*graph_, plan,
                                                {roots, 1}, nullptr,
                                                &collector);
-            raw += work.rawCount;
+            raw = core::addRawCount(raw, work.rawCount, "G-thinker node",
+                                    n);
             ++tasks;
 
             compute_ns +=

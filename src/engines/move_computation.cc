@@ -101,7 +101,8 @@ MoveComputationEngine::run(const Pattern &p,
         const auto work = core::runPlanDfs(
             *graph_, plan, {roots.data(), roots.size()}, nullptr,
             &tracker);
-        raw += work.rawCount;
+        raw = core::addRawCount(raw, work.rawCount,
+                                "move-computation node", n);
 
         const double compute_ns =
             static_cast<double>(work.workItems) * cost.intersectPerItemNs

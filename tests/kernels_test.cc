@@ -337,8 +337,10 @@ TEST(Kernels, DispatcherCountersAttributeKernels)
     for (VertexId v = 1; v < g.numVertices(); ++v)
         if (g.degree(v) > g.degree(hub))
             hub = v;
-    const EdgeId hub_degree = g.degree(hub);
-    ASSERT_GE(hub_degree, core::kBitmapRatio * 4);
+    // The 4-element driver below must reach the gallop ratio against
+    // the hub list once its source is dropped.
+    static_assert(core::kGallopRatio * 4 <= 32);
+    ASSERT_GE(g.degree(hub), 32u);
 
     core::KernelDispatcher dispatcher(core::KernelMode::Auto, &g);
     std::vector<VertexId> out;
@@ -349,12 +351,10 @@ TEST(Kernels, DispatcherCountersAttributeKernels)
                              {g.neighbors(hub), hub}, out);
     EXPECT_EQ(dispatcher.counters()[core::KernelKind::Bitmap], 1u);
 
-    // Same skew but no source vertex: gallop (if ratio suffices).
-    if (g.neighbors(hub).size() >= core::kGallopRatio * tiny.size()) {
-        dispatcher.intersectInto(core::ListRef(tiny),
-                                 core::ListRef(g.neighbors(hub)), out);
-        EXPECT_EQ(dispatcher.counters()[core::KernelKind::Gallop], 1u);
-    }
+    // Same skew but no source vertex: gallop.
+    dispatcher.intersectInto(core::ListRef(tiny),
+                             core::ListRef(g.neighbors(hub)), out);
+    EXPECT_EQ(dispatcher.counters()[core::KernelKind::Gallop], 1u);
 
     // Near-equal large lists: SIMD merge when the tier is live,
     // plain merge otherwise.
@@ -636,6 +636,155 @@ TEST(Kernels, BitmapCountAboveMatchesMergeThenFilterOnHubRows)
     }
     core::setSimdEnabled(true);
     EXPECT_EQ(hubs, 6);
+
+    // The fused SIMD pass (gather bit AND max_epu32 >= mask, scalar
+    // tail): driving lists of 16 and more, with bounds on and just
+    // past every driving element (so inside each SIMD block and
+    // inside the tail), below the minimum, above the maximum and with
+    // the high bit set (the compare must be unsigned).
+    hubs = 0;
+    for (VertexId v = 0; v < g.numVertices() && hubs < 3; ++v) {
+        const std::uint64_t *row = g.hubBitmapRow(v);
+        if (!row)
+            continue;
+        ++hubs;
+        const auto hub_list = g.neighbors(v);
+        for (const std::size_t na : {16u, 17u, 23u, 24u, 31u, 64u, 257u}) {
+            const auto a = randomList(na, g.numVertices(), 7 * v + na);
+            ASSERT_GE(a.size(), core::kSimdMinSize);
+            std::vector<VertexId> inter;
+            std::vector<VertexId> diff;
+            const core::WorkItems inter_work =
+                core::intersectInto(a, hub_list, inter);
+            const core::WorkItems diff_work =
+                core::subtractInto(a, hub_list, diff);
+            std::vector<VertexId> bounds = {0, a.back() + 1,
+                                            VertexId{1} << 31,
+                                            ~VertexId{0}};
+            if (a.front() > 0)
+                bounds.push_back(a.front() - 1);
+            for (const VertexId x : a) {
+                bounds.push_back(x);
+                bounds.push_back(x + 1);
+            }
+            for (const bool simd : {true, false}) {
+                core::setSimdEnabled(simd);
+                for (const VertexId bound : bounds) {
+                    SCOPED_TRACE("hub " + std::to_string(v) + " simd "
+                                 + std::to_string(simd) + " size "
+                                 + std::to_string(a.size()) + " bound "
+                                 + std::to_string(bound));
+                    Count total = 7;
+                    Count above = 7;
+                    EXPECT_EQ(core::bitmapIntersectCountAbove(
+                                  a, hub_list, row, bound, total, above),
+                              inter_work);
+                    EXPECT_EQ(total, inter.size());
+                    EXPECT_EQ(above, countAtLeast(inter, bound));
+                    EXPECT_EQ(core::bitmapSubtractCountAbove(
+                                  a, hub_list, row, bound, total, above),
+                              diff_work);
+                    EXPECT_EQ(total, diff.size());
+                    EXPECT_EQ(above, countAtLeast(diff, bound));
+                }
+            }
+        }
+    }
+    core::setSimdEnabled(true);
+    EXPECT_EQ(hubs, 3);
+}
+
+/**
+ * Auto probes a hub row on the probed side (the larger list for ∩,
+ * b for a \ b) at any size ratio, near-equal sizes included, for
+ * every dispatched operation.  Without a row the same pairs keep
+ * the size-ratio ladder: gallop, then simd_merge, then merge.
+ */
+TEST(Kernels, AutoProbesHubRowAtAnySizeRatio)
+{
+    const Graph g = gen::rmat(2048, 20000, 0.57, 0.19, 0.19, 5);
+    g.buildHubBitmaps(8, 32ull << 20);
+    VertexId hub = 0;
+    for (VertexId v = 1; v < g.numVertices(); ++v)
+        if (g.degree(v) > g.degree(hub))
+            hub = v;
+    ASSERT_NE(g.hubBitmapRow(hub), nullptr);
+    const auto hub_list = g.neighbors(hub);
+    ASSERT_GE(hub_list.size(), 8 * 2 * core::kSimdMinSize);
+
+    using core::KernelKind;
+    for (const bool simd : {true, false}) {
+        core::setSimdEnabled(simd);
+        for (const std::size_t ratio : {1u, 2u, 3u, 8u}) {
+            const auto drive = randomList(hub_list.size() / ratio,
+                                          g.numVertices(), 70 + ratio);
+            ASSERT_EQ(hub_list.size() / drive.size(), ratio);
+            // Strictly smaller, so the hub list is the larger side
+            // whichever argument order a call uses.
+            ASSERT_LT(drive.size(), hub_list.size());
+            ASSERT_GE(drive.size(), core::kSimdMinSize);
+            SCOPED_TRACE("simd " + std::to_string(simd) + " ratio "
+                         + std::to_string(ratio));
+            const VertexId bound = drive[drive.size() / 2];
+            std::vector<VertexId> inter;
+            std::vector<VertexId> diff;
+            const core::WorkItems inter_work =
+                core::intersectInto(drive, hub_list, inter);
+            const core::WorkItems diff_work =
+                core::subtractInto(drive, hub_list, diff);
+
+            // Runs all five operations against @p probed; returns
+            // the dispatcher's per-kind tallies.
+            const auto dispatchAll = [&](const core::ListRef &probed) {
+                core::KernelDispatcher d(core::KernelMode::Auto, &g);
+                const core::ListRef driver(drive);
+                std::vector<VertexId> out;
+                Count count = 0;
+                Count total = 0;
+                Count above = 0;
+                EXPECT_EQ(d.intersectInto(driver, probed, out),
+                          inter_work);
+                EXPECT_EQ(out, inter);
+                EXPECT_EQ(d.intersectCount(probed, driver, count),
+                          inter_work);
+                EXPECT_EQ(count, inter.size());
+                EXPECT_EQ(d.intersectCountAbove(driver, probed, bound,
+                                                total, above),
+                          inter_work);
+                EXPECT_EQ(total, inter.size());
+                EXPECT_EQ(above, countAtLeast(inter, bound));
+                EXPECT_EQ(d.subtractInto(driver, probed, out),
+                          diff_work);
+                EXPECT_EQ(out, diff);
+                EXPECT_EQ(d.subtractCountAbove(driver, probed, bound,
+                                               total, above),
+                          diff_work);
+                EXPECT_EQ(total, diff.size());
+                EXPECT_EQ(above, countAtLeast(diff, bound));
+                EXPECT_EQ(d.counters().total(), 5u);
+                return d.counters();
+            };
+
+            const core::KernelCounters with_row =
+                dispatchAll(core::ListRef(hub_list, hub));
+            EXPECT_EQ(with_row[KernelKind::Bitmap], 5u);
+
+            // No row: the hub list without its source.
+            const core::KernelCounters no_row =
+                dispatchAll(core::ListRef(hub_list));
+            EXPECT_EQ(no_row[KernelKind::Bitmap], 0u);
+            if (ratio >= core::kGallopRatio) {
+                EXPECT_EQ(no_row[KernelKind::Gallop], 5u);
+            } else {
+                // Subtraction never takes simd_merge; the tier may be
+                // off, compiled out or missing from the CPU.
+                const bool live = core::simdAvailable();
+                EXPECT_EQ(no_row[KernelKind::SimdMerge], live ? 3u : 0u);
+                EXPECT_EQ(no_row[KernelKind::Merge], live ? 2u : 5u);
+            }
+        }
+    }
+    core::setSimdEnabled(true);
 }
 
 /**
