@@ -286,26 +286,14 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
 void
 PlanExtender::chargeCountedScan(const CandidateTally &tally)
 {
-    const double check = cost_->candidateCheckNs;
-    const double match = cost_->terminalNs;
-    double work = workNs_;
-    for (Count i = 0; i < tally.below; ++i)
-        work += check;
+    double work = checks_.apply(workNs_, tally.below);
     Count rank = 0;
     for (int k = 0; k < tally.rejected; ++k) {
-        for (; rank < tally.rejectedRank[k]; ++rank) {
-            work += check;
-            work += match;
-        }
-        work += check; // the rejected matched vertex
-        ++rank;
+        work = pairs_.apply(work, tally.rejectedRank[k] - rank);
+        work += cost_->candidateCheckNs; // the rejected matched vertex
+        rank = tally.rejectedRank[k] + 1;
     }
-    for (const Count end = tally.total - tally.below; rank < end;
-         ++rank) {
-        work += check;
-        work += match;
-    }
-    workNs_ = work;
+    workNs_ = pairs_.apply(work, tally.total - tally.below - rank);
 }
 
 } // namespace core

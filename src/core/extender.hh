@@ -26,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "core/charge_replay.hh"
 #include "core/chunk.hh"
 #include "core/kernels/kernels.hh"
 #include "core/visitor.hh"
@@ -263,7 +264,8 @@ class PlanExtender
                  const sim::CostModel &cost, KernelMode kernel_mode,
                  unsigned unit)
         : plan_(&plan), cost_(&cost), step_(g, plan, kernel_mode),
-          unit_(unit)
+          unit_(unit), checks_(cost.candidateCheckNs),
+          pairs_(cost.candidateCheckNs, cost.terminalNs)
     {}
 
     /** Extend non-terminal embedding (@p level, @p idx) of
@@ -353,9 +355,10 @@ class PlanExtender
     /**
      * Charge a counted terminal level as the scan loop does: one
      * candidateCheckNs per candidate in ascending order, terminalNs
-     * after each accepted one.  The doubles are added one by one in
-     * that order (n x cost rounds differently), into a local stored
-     * once.
+     * after each accepted one.  Each run of checks or of accepted
+     * candidates is replayed exactly (ChargeReplay): the result is
+     * bit-identical to adding the doubles one by one in candidate
+     * order, which n x cost is not.
      */
     void chargeCountedScan(const CandidateTally &tally);
 
@@ -363,6 +366,8 @@ class PlanExtender
     const sim::CostModel *cost_;
     PlanStep step_;
     unsigned unit_;
+    ChargeReplay checks_; ///< candidateCheckNs per round
+    ChargeReplay pairs_;  ///< candidateCheckNs, terminalNs per round
 
     std::vector<VertexId> candidates_;
     CandidateTally tally_;

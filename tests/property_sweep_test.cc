@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "engines/khuzdul_system.hh"
 #include "engines/move_computation.hh"
 #include "engines/single_machine.hh"
+#include "graph/datasets.hh"
 #include "graph/generators.hh"
 #include "pattern/bruteforce.hh"
 #include "pattern/isomorphism.hh"
@@ -269,7 +271,10 @@ TEST_P(RandomPatternPlans, EngineAndRunnerChargeTheSameWork)
  * two runs must agree in count, in the full modeled dump and in
  * every trace event's count and value sum (kernel_dispatch
  * included), and the DFS runner's result fields and edge-list hook
- * order must agree too.
+ * order must agree too.  The dump prints 15 significant digits, so
+ * every node's modeled doubles and the makespan are also compared
+ * bit for bit: the counted path replays the scan's float charges
+ * exactly (core::ChargeReplay), not approximately.
  */
 class NoopVisitor : public core::MatchVisitor
 {
@@ -292,14 +297,27 @@ class HookOrder : public core::RunnerHooks
     std::uint64_t accesses = 0;
 };
 
+/** @p a and @p b hold the same bits. */
 void
-expectCountedTerminalMatchesScan(const Graph &g, const ExtendPlan &plan)
+expectSameBits(double a, double b, const char *what, std::size_t node)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a),
+              std::bit_cast<std::uint64_t>(b))
+        << what << " of node " << node << ": " << std::hexfloat << a
+        << " vs " << b;
+}
+
+/** @p with_runner: also compare the DFS runner's two paths. */
+void
+expectCountedTerminalMatchesScan(const Graph &g, const ExtendPlan &plan,
+                                 std::uint64_t chunk_bytes = 16 << 10,
+                                 bool with_runner = true)
 {
     ASSERT_FALSE(plan.hasIep);
     ASSERT_EQ(plan.countDivisor, 1);
     core::EngineConfig config;
     config.cluster = sim::ClusterConfig::paperDefault(4);
-    config.chunkBytes = 16 << 10;
+    config.chunkBytes = chunk_bytes;
     config.hubBitmapDegreeThreshold = 8;
     config.hostThreads = 1;
 
@@ -310,6 +328,20 @@ expectCountedTerminalMatchesScan(const Graph &g, const ExtendPlan &plan)
     EXPECT_EQ(scanned.run(plan, &visitor), count);
     EXPECT_EQ(visitor.matches, count);
     EXPECT_EQ(counted.stats().toJson(false), scanned.stats().toJson(false));
+    const sim::RunStats &a = counted.stats();
+    const sim::RunStats &b = scanned.stats();
+    ASSERT_EQ(a.nodes.size(), b.nodes.size());
+    for (std::size_t n = 0; n < a.nodes.size(); ++n) {
+        expectSameBits(a.nodes[n].computeNs, b.nodes[n].computeNs,
+                       "computeNs", n);
+        expectSameBits(a.nodes[n].commExposedNs, b.nodes[n].commExposedNs,
+                       "commExposedNs", n);
+        expectSameBits(a.nodes[n].commTotalNs, b.nodes[n].commTotalNs,
+                       "commTotalNs", n);
+        expectSameBits(a.nodes[n].schedulerNs, b.nodes[n].schedulerNs,
+                       "schedulerNs", n);
+    }
+    expectSameBits(a.makespanNs(), b.makespanNs(), "makespan", 0);
     for (std::size_t e = 0; e < sim::kNumPhaseEvents; ++e) {
         const auto event = static_cast<sim::PhaseEvent>(e);
         EXPECT_EQ(counted.traceCounts().count(event),
@@ -319,6 +351,8 @@ expectCountedTerminalMatchesScan(const Graph &g, const ExtendPlan &plan)
                   scanned.traceCounts().valueSum(event))
             << sim::phaseEventName(event);
     }
+    if (!with_runner)
+        return;
 
     std::vector<VertexId> roots(g.numVertices());
     for (VertexId v = 0; v < g.numVertices(); ++v)
@@ -387,6 +421,25 @@ TEST(CountedTerminal, ServeMixShapesAndALabeledPatternMatchTheScan)
     wedge.setLabel(2, 2);
     expectCountedTerminalMatchesScan(labeled,
                                      compileAutomine(wedge, options));
+}
+
+/**
+ * serve_mix's hub-heavy shapes on the mc stand-in at 4 KB chunks:
+ * hub rows give counted runs of thousands of candidates, past
+ * ChargeReplay's short-run and zero-prefix cutoffs, so the modeled
+ * charges go through the binade jump.  The runner keeps no float
+ * ledger, so only the engine is compared.
+ */
+TEST(CountedTerminal, HubHeavyShapesReplayTheScanChargesExactly)
+{
+    PlanOptions options;
+    options.useIep = false;
+    for (const Pattern &p : {Pattern::starOf(4), Pattern::pathOf(4)}) {
+        SCOPED_TRACE(p.toString());
+        expectCountedTerminalMatchesScan(datasets::byName("mc").graph,
+                                         compileAutomine(p, options),
+                                         4 << 10, false);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPatternPlans,
