@@ -2,20 +2,18 @@
  * @file
  * Google-benchmark microbenchmarks for the engine's hot primitives:
  * sorted-list intersection and count-above kernels, the horizontal
- * dedup table, chunk arena append/reset, cache probes, plan
- * compilation and the counted terminal's charge replay.
+ * dedup table, chunk arena append/reset, cache probes and plan
+ * compilation.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "core/cache.hh"
-#include "core/charge_replay.hh"
 #include "core/chunk.hh"
 #include "core/horizontal.hh"
 #include "core/kernels/kernels.hh"
 #include "graph/generators.hh"
 #include "pattern/planner.hh"
-#include "sim/cost_model.hh"
 #include "support/rng.hh"
 
 namespace
@@ -412,42 +410,5 @@ BM_CompilePlanGraphPi(benchmark::State &state)
 BENCHMARK(BM_CompilePlanGraphPi);
 
 } // namespace
-
-/**
- * A counted terminal's accepted-candidate charges: range(0) rounds
- * of `x += candidateCheckNs; x += terminalNs` from 0 (range(1) = 0,
- * a level without set-operation work) or from a non-integer
- * (range(1) = 1, after 103 items of intersection work), added one
- * by one (range(2) = 0) or replayed by ChargeReplay (range(2) = 1).
- * ChargeReplay::kShortRun is where the two lines cross.
- */
-void
-BM_ChargeReplay(benchmark::State &state)
-{
-    const sim::CostModel cost;
-    const core::ChargeReplay replay(cost.candidateCheckNs,
-                                    cost.terminalNs);
-    const Count rounds = static_cast<Count>(state.range(0));
-    double start = state.range(1) == 0
-        ? 0.0
-        : 103 * cost.intersectPerItemNs;
-    const bool jump = state.range(2) != 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(start);
-        double x = start;
-        if (jump) {
-            x = replay.apply(x, rounds);
-        } else {
-            for (Count i = 0; i < rounds; ++i) {
-                x += cost.candidateCheckNs;
-                x += cost.terminalNs;
-            }
-        }
-        benchmark::DoNotOptimize(x);
-    }
-}
-BENCHMARK(BM_ChargeReplay)
-    ->ArgNames({"n", "start", "replay"})
-    ->ArgsProduct({{8, 16, 32, 64, 512, 4096}, {0, 1}, {0, 1}});
 
 BENCHMARK_MAIN();

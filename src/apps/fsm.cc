@@ -90,10 +90,7 @@ SingleMachineFsmBackend::enumerate(const Pattern &p,
     std::vector<VertexId> roots(graph_->numVertices());
     for (VertexId v = 0; v < graph_->numVertices(); ++v)
         roots[v] = v;
-    const auto work = core::runPlanDfs(*graph_, plan, roots, visitor);
-    workItems_ += work.workItems;
-    candidates_ += work.candidatesChecked;
-    embeddings_ += work.embeddingsVisited;
+    work_ += core::runPlanDfs(*graph_, plan, roots, visitor);
     return plan.pattern;
 }
 

@@ -20,6 +20,7 @@
 #include "engines/khuzdul_system.hh"
 #include "graph/graph.hh"
 #include "pattern/pattern.hh"
+#include "sim/cost_model.hh"
 
 namespace khuzdul
 {
@@ -95,16 +96,12 @@ class SingleMachineFsmBackend : public FsmBackend
     Pattern enumerate(const Pattern &p,
                       core::MatchVisitor *visitor) override;
 
-    /** Set-kernel elements consumed so far (cost proxy). */
-    std::uint64_t workItems() const { return workItems_; }
-    std::uint64_t candidatesChecked() const { return candidates_; }
-    std::uint64_t embeddingsVisited() const { return embeddings_; }
+    /** Work counted so far (price with sim::CostModel::workNs). */
+    const sim::WorkTally &work() const { return work_; }
 
   private:
     const Graph *graph_;
-    std::uint64_t workItems_ = 0;
-    std::uint64_t candidates_ = 0;
-    std::uint64_t embeddings_ = 0;
+    sim::WorkTally work_;
 };
 
 /**

@@ -56,8 +56,8 @@ class HybridExplorer
           faults_(engine.faultSessions_.empty()
                       ? nullptr
                       : engine.faultSessions_[unit].get()),
-          extender_(*engine.graph_, plan, engine.config_.cost,
-                    engine.config_.kernelMode, unit),
+          extender_(*engine.graph_, plan, engine.config_.kernelMode,
+                    unit),
           cores_(engine.context_->computeCoresPerUnit()),
           deadlineNs_(engine.config_.deadlineNs),
           deadlineStartNs_(stats.totalNs()),
@@ -261,18 +261,21 @@ class HybridExplorer
         trace().emit({sim::PhaseEvent::ExtendStart, unit_, level,
                       chunk.size(), 0});
         for (std::uint32_t idx = 0; idx < chunk.size(); ++idx) {
-            const double work_before = extender_.exchangeWork(0);
+            // Each embedding's operations are priced once, onto its
+            // own circulant batch.
+            sim::WorkTally work;
             if (terminal)
                 raw_ = addRawCount(
                     raw_,
                     extender_.extendTerminal(chunks_, level, idx,
-                                             visitor_, stats_),
+                                             visitor_, work, stats_),
                     "execution unit", unit_);
             else
                 extender_.extendInner(chunks_, chunks_[level + 1],
-                                      level, idx, stats_);
-            scheds_[level].chargeWork(idx, extender_.workNs());
-            extender_.exchangeWork(work_before);
+                                      level, idx, work, stats_);
+            stats_.intersectionItems += work.items;
+            stats_.embeddingsCreated += work.embeddings;
+            scheds_[level].chargeWork(idx, cost.workNs(work));
 
             if (!terminal && chunks_[level + 1].full()) {
                 processLevel(level + 1);

@@ -156,13 +156,8 @@ PlanStep::rankCandidates(int t, std::span<const VertexId> set,
     for (PositionMask m = unrestricted; m != 0; m &= m - 1) {
         const VertexId v = vertices[std::countr_zero(m)];
         const auto it = std::lower_bound(from, set.end(), v);
-        if (it == set.end() || *it != v)
-            continue;
-        const Count rank = static_cast<Count>(it - from);
-        int k = tally.rejected++;
-        for (; k > 0 && tally.rejectedRank[k - 1] > rank; --k)
-            tally.rejectedRank[k] = tally.rejectedRank[k - 1];
-        tally.rejectedRank[k] = rank;
+        if (it != set.end() && *it == v)
+            ++tally.rejected;
     }
 }
 
@@ -202,24 +197,22 @@ PlanStep::iepMasks(int prefix_len, std::span<const VertexId> stored,
 void
 PlanExtender::extendInner(const std::vector<Chunk> &chunks,
                           Chunk &child, int level, std::uint32_t idx,
-                          sim::NodeStats &stats)
+                          sim::WorkTally &work, sim::NodeStats &stats)
 {
     recoverVertices(chunks, level, idx);
     const int t = level + 1;
     const PlanLevel &next = plan_->levels[t];
-    buildCandidates(t, chunks[t - 1].result(idx), stats);
+    buildCandidates(t, chunks[t - 1].result(idx), work, stats);
     // Siblings share one stored copy of the candidate set; it is
     // appended lazily when the first child materializes.
     std::uint32_t result_offset = 0;
     bool result_stored = false;
     for (const VertexId candidate : candidates_) {
-        workNs_ += cost_->candidateCheckNs;
         if (!step_.accept(t, candidate))
             continue;
         const std::uint32_t child_idx =
             child.add(candidate, idx, next.fetchEdgeList);
-        ++stats.embeddingsCreated;
-        workNs_ += cost_->embeddingCreateNs;
+        ++work.embeddings;
         if (next.storeResult) {
             if (!result_stored) {
                 result_offset = child.appendResult(candidates_);
@@ -236,22 +229,19 @@ std::int64_t
 PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
                              int level, std::uint32_t idx,
                              MatchVisitor *visitor,
+                             sim::WorkTally &work,
                              sim::NodeStats &stats)
 {
     recoverVertices(chunks, level, idx);
     if (plan_->hasIep) {
         const IepBlock &iep = plan_->iep;
         step_.iepMasks(level + 1, chunks[level].result(idx), iep_);
-        // Charged per mask, in mask order: the modeled sum must not
-        // be regrouped.
         for (std::size_t m = 0; m < iep.masks.size(); ++m) {
             if (!iep.maskReuse.empty() && iep.maskReuse[m])
                 ++stats.verticalReuses;
-            stats.intersectionItems += iep_.work[m];
-            workNs_ += static_cast<double>(iep_.work[m])
-                * cost_->intersectPerItemNs;
+            work.items += iep_.work[m];
         }
-        workNs_ += cost_->terminalNs;
+        ++work.terminals;
         return foldIep(iep, iep_.sizes);
     }
     const int t = plan_->pattern.size() - 1;
@@ -259,21 +249,18 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
     if (!visitor && step_.countable(t)) {
         if (plan_->levels[t].reuseParent)
             ++stats.verticalReuses;
-        const WorkItems work =
-            step_.countCandidates(t, stored, candidates_, tally_);
-        stats.intersectionItems += work;
-        workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
-        chargeCountedScan(tally_);
+        work.items += step_.countCandidates(t, stored, candidates_, tally_);
+        work.checks += tally_.total;
+        work.terminals += tally_.accepted();
         return rawCountOf(tally_.accepted(), "execution unit", unit_);
     }
-    buildCandidates(t, stored, stats);
+    buildCandidates(t, stored, work, stats);
     std::int64_t raw = 0;
     for (const VertexId candidate : candidates_) {
-        workNs_ += cost_->candidateCheckNs;
         if (!step_.accept(t, candidate))
             continue;
         ++raw;
-        workNs_ += cost_->terminalNs;
+        ++work.terminals;
         if (visitor) {
             step_.vertices[t] = candidate;
             visitor->match({step_.vertices.data(),
@@ -281,19 +268,6 @@ PlanExtender::extendTerminal(const std::vector<Chunk> &chunks,
         }
     }
     return raw;
-}
-
-void
-PlanExtender::chargeCountedScan(const CandidateTally &tally)
-{
-    double work = checks_.apply(workNs_, tally.below);
-    Count rank = 0;
-    for (int k = 0; k < tally.rejected; ++k) {
-        work = pairs_.apply(work, tally.rejectedRank[k] - rank);
-        work += cost_->candidateCheckNs; // the rejected matched vertex
-        rank = tally.rejectedRank[k] + 1;
-    }
-    workNs_ = pairs_.apply(work, tally.total - tally.below - rank);
 }
 
 } // namespace core

@@ -8,13 +8,13 @@
  * terminal block.  Both execution paths drive it: the
  * single-machine DFS runner (core/plan_runner) directly, and the
  * chunked distributed engine through PlanExtender, which recovers an
- * embedding's vertices from the parent-pointer chain and prices the
- * step's work into an exchangeable ledger that the explorer
- * attributes to the embedding's circulant batch.
+ * embedding's vertices from the parent-pointer chain and counts the
+ * step's operations into the caller's sim::WorkTally.
  *
- * The step returns integer WorkItems and leaves pricing to its
- * caller, so the runner's sums and the engine's modeled charges
- * come from one set of kernel calls.
+ * Nothing here prices work: the step returns integer WorkItems,
+ * both drivers count operations in a sim::WorkTally, and that is
+ * priced once (sim::CostModel::workNs), so the runner's sums and
+ * the engine's modeled charges come from one set of kernel calls.
  */
 
 #ifndef KHUZDUL_CORE_EXTENDER_HH
@@ -26,7 +26,6 @@
 #include <span>
 #include <vector>
 
-#include "core/charge_replay.hh"
 #include "core/chunk.hh"
 #include "core/kernels/kernels.hh"
 #include "core/visitor.hh"
@@ -104,21 +103,20 @@ rawCountOf(Count count, const char *owner, std::int64_t index = -1)
 /**
  * A counted terminal level (PlanStep::countCandidates): the size of
  * the candidate set buildCandidates would have built, how many of
- * its (ascending) candidates fall below the restriction bound, and
- * the ranks past those of the matched vertices it still holds,
- * ascending.  accept() rejects exactly those candidates.
+ * its candidates fall below the restriction bound, and how many
+ * matched vertices at or above the bound it still holds.  accept()
+ * rejects exactly those candidates.
  */
 struct CandidateTally
 {
     Count total = 0;
     Count below = 0;
-    std::array<Count, kMaxPatternSize> rejectedRank{};
-    int rejected = 0;
+    Count rejected = 0;
 
     Count
     accepted() const
     {
-        return total - below - static_cast<Count>(rejected);
+        return total - below - rejected;
     }
 };
 
@@ -227,8 +225,8 @@ class PlanStep
                        std::vector<VertexId> &out,
                        CandidateTally *tally);
 
-    /** Tally a set no operation is left to count: rank the bound and
-     *  the unrestricted matched vertices in it. */
+    /** Tally a set no operation is left to count: rank the bound in
+     *  it and look up the unrestricted matched vertices. */
     void rankCandidates(int t, std::span<const VertexId> set,
                         CandidateTally &tally) const;
 
@@ -255,23 +253,27 @@ class PlanStep
     std::vector<VertexId> scratchB_;
 };
 
-/** Per-unit chunked extension: vertex recovery plus charging. */
+/**
+ * Per-unit chunked extension: vertex recovery plus operation
+ * counting.  Each call adds its embedding's work to a caller-owned
+ * tally: the kernels' items (candidate sets and IEP masks), one
+ * check per candidate, one embedding per child and one terminal per
+ * match or per IEP fold.  The counted terminal adds the same
+ * integers the scan would, so both paths price identically.
+ */
 class PlanExtender
 {
   public:
     /** @param unit the execution unit (named on count overflow). */
     PlanExtender(const Graph &g, const ExtendPlan &plan,
-                 const sim::CostModel &cost, KernelMode kernel_mode,
-                 unsigned unit)
-        : plan_(&plan), cost_(&cost), step_(g, plan, kernel_mode),
-          unit_(unit), checks_(cost.candidateCheckNs),
-          pairs_(cost.candidateCheckNs, cost.terminalNs)
+                 KernelMode kernel_mode, unsigned unit)
+        : plan_(&plan), step_(g, plan, kernel_mode), unit_(unit)
     {}
 
     /** Extend non-terminal embedding (@p level, @p idx) of
      *  @p chunks, appending accepted children to @p child. */
     void extendInner(const std::vector<Chunk> &chunks, Chunk &child,
-                     int level, std::uint32_t idx,
+                     int level, std::uint32_t idx, sim::WorkTally &work,
                      sim::NodeStats &stats);
 
     /**
@@ -283,19 +285,8 @@ class PlanExtender
     std::int64_t extendTerminal(const std::vector<Chunk> &chunks,
                                 int level, std::uint32_t idx,
                                 MatchVisitor *visitor,
+                                sim::WorkTally &work,
                                 sim::NodeStats &stats);
-
-    /** Swap the work ledger (explorer save/zero/restore per
-     *  embedding so work lands on the right batch). */
-    double
-    exchangeWork(double value)
-    {
-        const double old = workNs_;
-        workNs_ = value;
-        return old;
-    }
-
-    double workNs() const { return workNs_; }
 
     /** Per-kind tallies of the kernels dispatched so far. */
     const KernelCounters &
@@ -339,40 +330,25 @@ class PlanExtender
         prefixParent_ = parent;
     }
 
-    /** Build position @p t's candidates and charge their work. */
+    /** Build position @p t's candidates, each of which the caller
+     *  then checks. */
     void
     buildCandidates(int t, std::span<const VertexId> stored,
-                    sim::NodeStats &stats)
+                    sim::WorkTally &work, sim::NodeStats &stats)
     {
         if (plan_->levels[t].reuseParent)
             ++stats.verticalReuses;
-        const WorkItems work =
-            step_.buildCandidates(t, stored, candidates_);
-        stats.intersectionItems += work;
-        workNs_ += static_cast<double>(work) * cost_->intersectPerItemNs;
+        work.items += step_.buildCandidates(t, stored, candidates_);
+        work.checks += candidates_.size();
     }
 
-    /**
-     * Charge a counted terminal level as the scan loop does: one
-     * candidateCheckNs per candidate in ascending order, terminalNs
-     * after each accepted one.  Each run of checks or of accepted
-     * candidates is replayed exactly (ChargeReplay): the result is
-     * bit-identical to adding the doubles one by one in candidate
-     * order, which n x cost is not.
-     */
-    void chargeCountedScan(const CandidateTally &tally);
-
     const ExtendPlan *plan_;
-    const sim::CostModel *cost_;
     PlanStep step_;
     unsigned unit_;
-    ChargeReplay checks_; ///< candidateCheckNs per round
-    ChargeReplay pairs_;  ///< candidateCheckNs, terminalNs per round
 
     std::vector<VertexId> candidates_;
     CandidateTally tally_;
     IepMasks iep_;
-    double workNs_ = 0;
     int prefixLevel_ = -1;          ///< level of the cached prefix
     std::uint32_t prefixParent_ = kNoParent;
 };

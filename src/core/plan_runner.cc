@@ -21,7 +21,7 @@ struct Runner
     RunnerResult result;
 
     /** Baselines always run the adaptive dispatcher; charges are
-     *  canonical, so their workItems match the pre-kernel runner. */
+     *  canonical, so their items match the pre-kernel runner. */
     PlanStep step;
 
     /** Candidate set each level was drawn from (VCS source). */
@@ -36,18 +36,14 @@ struct Runner
           step(graph, p, KernelMode::Auto, hooks)
     {}
 
+    /** Build position @p t's candidates, each of which the caller
+     *  then checks. */
     void
     buildCandidates(int t)
     {
-        result.workItems +=
+        result.items +=
             step.buildCandidates(t, candidates[t - 1], candidates[t]);
-    }
-
-    bool
-    accept(int t, VertexId candidate)
-    {
-        ++result.candidatesChecked;
-        return step.accept(t, candidate);
+        result.checks += candidates[t].size();
     }
 
     /** Terminal IEP block: count the suffix by inclusion-exclusion. */
@@ -56,7 +52,7 @@ struct Runner
     {
         step.iepMasks(prefix_len, candidates[prefix_len - 1], iep);
         for (std::size_t m = 0; m < plan.iep.masks.size(); ++m)
-            result.workItems += iep.work[m];
+            result.items += iep.work[m];
         result.rawCount = addRawCount(
             result.rawCount, foldIep(plan.iep, iep.sizes),
             "the DFS runner");
@@ -70,9 +66,9 @@ struct Runner
     {
         const int t = plan.pattern.size() - 1;
         if (!visitor && step.countable(t)) {
-            result.workItems += step.countCandidates(
+            result.items += step.countCandidates(
                 t, candidates[t - 1], candidates[t], tally);
-            result.candidatesChecked += tally.total;
+            result.checks += tally.total;
             result.rawCount = addRawCount(
                 result.rawCount,
                 rawCountOf(tally.accepted(), "the DFS runner"),
@@ -81,7 +77,7 @@ struct Runner
         }
         buildCandidates(t);
         for (const VertexId candidate : candidates[t]) {
-            if (!accept(t, candidate))
+            if (!step.accept(t, candidate))
                 continue;
             ++result.rawCount;
             if (visitor) {
@@ -95,7 +91,7 @@ struct Runner
     void
     recurse(int level)
     {
-        ++result.embeddingsVisited;
+        ++result.embeddings;
         const int n = plan.pattern.size();
         const int prefix_len = plan.numMaterializedLevels();
         if (plan.hasIep && level == prefix_len - 1) {
@@ -114,7 +110,7 @@ struct Runner
         // other slots.
         for (std::size_t i = 0; i < candidates[t].size(); ++i) {
             const VertexId candidate = candidates[t][i];
-            if (!accept(t, candidate))
+            if (!step.accept(t, candidate))
                 continue;
             step.vertices[t] = candidate;
             recurse(t);
@@ -145,7 +141,7 @@ runPlanDfs(const Graph &g, const ExtendPlan &plan,
         runner.step.vertices[0] = v;
         if (n == 1) {
             ++runner.result.rawCount;
-            ++runner.result.embeddingsVisited;
+            ++runner.result.embeddings;
             if (visitor)
                 visitor->match({runner.step.vertices.data(), 1});
             continue;

@@ -19,6 +19,7 @@
 #include "core/visitor.hh"
 #include "graph/graph.hh"
 #include "pattern/plan.hh"
+#include "sim/cost_model.hh"
 #include "support/types.hh"
 
 namespace khuzdul
@@ -26,20 +27,17 @@ namespace khuzdul
 namespace core
 {
 
-/** Work and result counters of one runner invocation. */
-struct RunnerResult
+/**
+ * Work and result counters of one runner invocation.  The work
+ * counts are a sim::WorkTally (price with CostModel::workNs):
+ * kernel items, candidates checked and partial embeddings (internal
+ * tree nodes) visited; `terminals` stays 0, as no baseline charges
+ * a terminal invocation.
+ */
+struct RunnerResult : sim::WorkTally
 {
     /** Matches found, before dividing by plan.countDivisor. */
     std::int64_t rawCount = 0;
-
-    /** Elements consumed by set kernels (compute-cost proxy). */
-    WorkItems workItems = 0;
-
-    /** Candidates examined against filters. */
-    Count candidatesChecked = 0;
-
-    /** Partial embeddings (internal tree nodes) visited. */
-    Count embeddingsVisited = 0;
 
     /** Adds @p other in; the raw count is checked (addRawCount). */
     void
@@ -47,9 +45,7 @@ struct RunnerResult
     {
         rawCount =
             addRawCount(rawCount, other.rawCount, "a runner result");
-        workItems += other.workItems;
-        candidatesChecked += other.candidatesChecked;
-        embeddingsVisited += other.embeddingsVisited;
+        *this += other;
     }
 };
 

@@ -63,17 +63,11 @@ GraphPiRepEngine::count(const Pattern &p, const PlanOptions &options)
         const NodeId node = c % nodes;
         raw = core::addRawCount(raw, work.rawCount, "GraphPi-rep node",
                                 node);
-        const double work_ns =
-            static_cast<double>(work.workItems) * cost.intersectPerItemNs
-            + static_cast<double>(work.candidatesChecked)
-                * cost.candidateCheckNs
-            + static_cast<double>(work.embeddingsVisited)
-                * cost.embeddingCreateNs;
+        const double work_ns = cost.workNs(work);
         node_work[node] += work_ns;
         node_max_chunk[node] = std::max(node_max_chunk[node], work_ns);
-        result.stats.nodes[node].intersectionItems += work.workItems;
-        result.stats.nodes[node].embeddingsCreated +=
-            work.embeddingsVisited;
+        result.stats.nodes[node].intersectionItems += work.items;
+        result.stats.nodes[node].embeddingsCreated += work.embeddings;
     }
 
     KHUZDUL_CHECK(raw >= 0 && raw % plan.countDivisor == 0,

@@ -117,15 +117,9 @@ GThinkerEngine::count(const Pattern &p, const PlanOptions &options)
                                     n);
             ++tasks;
 
-            compute_ns +=
-                static_cast<double>(work.workItems)
-                    * cost.intersectPerItemNs
-                + static_cast<double>(work.candidatesChecked)
-                    * cost.candidateCheckNs
-                + static_cast<double>(work.embeddingsVisited)
-                    * cost.embeddingCreateNs;
-            st.intersectionItems += work.workItems;
-            st.embeddingsCreated += work.embeddingsVisited;
+            compute_ns += cost.workNs(work);
+            st.intersectionItems += work.items;
+            st.embeddingsCreated += work.embeddings;
 
             // The task pulls the k-hop subgraph before computing:
             // every distinct non-local edge list is resolved

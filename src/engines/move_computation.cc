@@ -104,12 +104,7 @@ MoveComputationEngine::run(const Pattern &p,
         raw = core::addRawCount(raw, work.rawCount,
                                 "move-computation node", n);
 
-        const double compute_ns =
-            static_cast<double>(work.workItems) * cost.intersectPerItemNs
-            + static_cast<double>(work.candidatesChecked)
-                * cost.candidateCheckNs
-            + static_cast<double>(work.embeddingsVisited)
-                * cost.embeddingCreateNs;
+        const double compute_ns = cost.workNs(work);
         const double messages = static_cast<double>(tracker.migrations)
             / config_.shipBatch;
         const double comm_ns = messages * cost.netLatencyNs
@@ -124,8 +119,8 @@ MoveComputationEngine::run(const Pattern &p,
         st.bytesSent = tracker.bytesShipped;
         st.bytesReceived = tracker.bytesShipped;
         st.messagesSent = static_cast<std::uint64_t>(messages) + 1;
-        st.intersectionItems = work.workItems;
-        st.embeddingsCreated = work.embeddingsVisited;
+        st.intersectionItems = work.items;
+        st.embeddingsCreated = work.embeddings;
     }
     KHUZDUL_CHECK(raw >= 0 && raw % plan.countDivisor == 0,
                   "inconsistent raw count");

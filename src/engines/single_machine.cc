@@ -90,13 +90,7 @@ SingleMachineEngine::count(const Pattern &p, const PlanOptions &options)
     // Modeled runtime: measured work on one core, divided over the
     // machine's cores, plus per-system constants.
     const sim::CostModel &cost = config_.cost;
-    double work_ns =
-        static_cast<double>(result.work.workItems)
-            * cost.intersectPerItemNs
-        + static_cast<double>(result.work.candidatesChecked)
-            * cost.candidateCheckNs
-        + static_cast<double>(result.work.embeddingsVisited)
-            * cost.embeddingCreateNs;
+    double work_ns = cost.workNs(result.work);
     // Peregrine interprets the pattern at runtime instead of
     // compiling it; a modest per-operation tax models that.
     if (style_ == SingleMachineStyle::PeregrineLike)

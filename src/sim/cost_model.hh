@@ -22,6 +22,34 @@ namespace khuzdul
 namespace sim
 {
 
+/**
+ * Integer operation counts of extension work: what an engine did,
+ * not what it cost.  Counts add exactly in any order; CostModel::
+ * workNs prices them once.
+ */
+struct WorkTally
+{
+    /** Elements consumed by set kernels (candidate sets, IEP masks). */
+    std::uint64_t items = 0;
+    /** Candidate vertices examined against the level's filters. */
+    Count checks = 0;
+    /** Embeddings created (the engine's arena appends, the DFS
+     *  runner's visited tree nodes). */
+    Count embeddings = 0;
+    /** Terminal (UDF/count) invocations. */
+    Count terminals = 0;
+
+    WorkTally &
+    operator+=(const WorkTally &other)
+    {
+        items += other.items;
+        checks += other.checks;
+        embeddings += other.embeddings;
+        terminals += other.terminals;
+        return *this;
+    }
+};
+
 /** All tunable time constants (nanoseconds unless noted). */
 struct CostModel
 {
@@ -117,6 +145,21 @@ struct CostModel
     /** Garbage-collection check per cached list per round. */
     double gthinkerGcCheckNs = 120.0;
     /// @}
+
+    /**
+     * Single-core time of @p work: each counter times its price,
+     * summed in the order items, checks, embeddings, terminals.
+     * With no terminals this is the baselines' three-term sum bit
+     * for bit (x + 0.0 == x).
+     */
+    double
+    workNs(const WorkTally &work) const
+    {
+        return static_cast<double>(work.items) * intersectPerItemNs
+            + static_cast<double>(work.checks) * candidateCheckNs
+            + static_cast<double>(work.embeddings) * embeddingCreateNs
+            + static_cast<double>(work.terminals) * terminalNs;
+    }
 
     /** Transfer time of one batched request of @p bytes. */
     double

@@ -176,7 +176,7 @@ TEST(Fsm, SingleMachineBackendMatchesKhuzdulBackend)
     const auto b = apps::mineFrequentSubgraphs(local, g, config);
     ASSERT_EQ(a.frequent.size(), b.frequent.size());
     EXPECT_EQ(a.patternsEvaluated, b.patternsEvaluated);
-    EXPECT_GT(local.workItems(), 0u);
+    EXPECT_GT(local.work().items, 0u);
 }
 
 TEST(Fsm, HigherThresholdYieldsSubset)

@@ -1,22 +1,17 @@
 /**
  * @file
  * Unit tests for the engine's building blocks: set kernels, the
- * chunk arena, the horizontal (collision-dropping) table, the
- * data caches with every replacement policy and the exact charge
- * replay.
+ * chunk arena, the horizontal (collision-dropping) table and the
+ * data caches with every replacement policy.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <set>
 
 #include "core/cache.hh"
-#include "core/charge_replay.hh"
 #include "core/chunk.hh"
 #include "core/horizontal.hh"
 #include "core/kernels/kernels.hh"
@@ -28,7 +23,6 @@ namespace khuzdul
 namespace
 {
 
-using core::ChargeReplay;
 using core::Chunk;
 using core::DataCache;
 using core::HorizontalTable;
@@ -299,124 +293,6 @@ TEST(Cache, OversizedListIsRejectedWithoutEvictionStorm)
     cache.insert(5); // leaf fits
     EXPECT_FALSE(cache.insert(0)); // hub larger than whole cache
     EXPECT_TRUE(cache.lookup(5));  // nothing was evicted for it
-}
-
-/** The loop ChargeReplay stands in for. */
-double
-chargeLoop(double x, double first, double second, bool pair, Count n)
-{
-    for (Count i = 0; i < n; ++i) {
-        x += first;
-        if (pair)
-            x += second;
-    }
-    return x;
-}
-
-TEST(ChargeReplay, MatchesTheLoopBitForBit)
-{
-    Rng rng(20260417);
-    const auto uniform = [&](double lo, double hi) {
-        return lo + (hi - lo) * rng.nextDouble();
-    };
-    const auto constant = [&]() -> double {
-        switch (rng.nextBounded(8)) {
-        case 0: return 0.0;
-        case 1: return 1.0;
-        case 2: return 0.8; // a tie in [2,4)
-        case 3: return 0.75;
-        case 4: return std::ldexp(uniform(0.5, 1.0),
-                                  -60 - static_cast<int>(
-                                      rng.nextBounded(40)));
-        case 5: return std::ldexp(uniform(1.0, 2.0),
-                                  40 + static_cast<int>(
-                                      rng.nextBounded(12)));
-        case 6: return uniform(0.0, 10.0);
-        default:
-            return std::ldexp(uniform(1.0, 2.0),
-                              static_cast<int>(rng.nextBounded(80)) - 50);
-        }
-    };
-    const auto start = [&]() -> double {
-        switch (rng.nextBounded(7)) {
-        case 0: return 0.0;
-        case 1: return static_cast<double>(rng.nextBounded(1 << 20));
-        case 2: return static_cast<double>(
-                    (std::uint64_t{1} << 53) - rng.nextBounded(1 << 16));
-        case 3: return static_cast<double>(rng.nextBounded(5000)) * 1.2;
-        case 4: return uniform(0.0, 1e6);
-        case 5: { // just below a power of two
-            const double p = std::ldexp(
-                1.0, static_cast<int>(rng.nextBounded(70)) - 10);
-            return rng.nextBounded(2) ? std::nextafter(p, 0.0)
-                                      : p - uniform(0.0, 4.0) * p / 64;
-        }
-        default: // subnormal
-            return std::numeric_limits<double>::denorm_min()
-                * static_cast<double>(1 + rng.nextBounded(1 << 30));
-        }
-    };
-    const auto rounds = [&]() -> Count {
-        const std::uint64_t r = rng.nextBounded(10000);
-        if (r < 5000)
-            return rng.nextBounded(2 * ChargeReplay::kShortRun + 1);
-        if (r < 7000) // around the zero-prefix cutoff
-            return ChargeReplay::kZeroPrefix - 4 + rng.nextBounded(9);
-        if (r < 9995)
-            return rng.nextBounded(2000);
-        return rng.nextBounded((1 << 20) + 1);
-    };
-
-    std::uint64_t cases = 0;
-    std::uint64_t mismatches = 0;
-    // The engine's constants first, then random pairs.
-    for (int trial = 0; trial < 300; ++trial) {
-        const double first = trial == 0 ? 1.0 : constant();
-        const double second = trial == 0 ? 0.8 : constant();
-        const ChargeReplay single(first);
-        const ChargeReplay pair(first, second);
-        for (int i = 0; i < 3400; ++i, ++cases) {
-            const double x = start();
-            const Count n = i == 0 ? (1 << 20) : rounds();
-            const bool paired = i % 2 == 0;
-            const double got = (paired ? pair : single).apply(x, n);
-            const double want = chargeLoop(x, first, second, paired, n);
-            if (std::bit_cast<std::uint64_t>(got)
-                != std::bit_cast<std::uint64_t>(want)) {
-                if (++mismatches <= 5)
-                    ADD_FAILURE()
-                        << std::hexfloat << "x=" << x << " first=" << first
-                        << " second=" << second << " paired=" << paired
-                        << " n=" << n << ": " << got << " != " << want;
-            }
-        }
-    }
-    EXPECT_GE(cases, 1000000u);
-    EXPECT_EQ(mismatches, 0u);
-}
-
-TEST(ChargeReplay, StepsTiesNegativesAndNonFinitesLikeTheLoop)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    for (const double first : {1.0, 0.8, -0.8, -0.0, inf, nan})
-        for (const double second : {0.8, 0.0, -1.0, inf})
-            for (const double x : {0.0, -0.0, 2.0, 3.9, -5.5, inf, nan,
-                                   0x1p52, 0x1p53})
-                for (const Count n : {Count{0}, Count{16}, Count{1000},
-                                      Count{70000}}) {
-                    const ChargeReplay single(first);
-                    const ChargeReplay pair(first, second);
-                    EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                                  single.apply(x, n)),
-                              std::bit_cast<std::uint64_t>(
-                                  chargeLoop(x, first, 0, false, n)));
-                    EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                                  pair.apply(x, n)),
-                              std::bit_cast<std::uint64_t>(
-                                  chargeLoop(x, first, second, true, n)))
-                        << x << " " << first << " " << second << " " << n;
-                }
 }
 
 } // namespace

@@ -123,7 +123,7 @@ TEST(SingleMachine, OrientationCutsTriangleWork)
     const auto fast = pangolin.count(Pattern::triangle());
     const auto slow = automine.count(Pattern::triangle());
     EXPECT_EQ(fast.count, slow.count);
-    EXPECT_LT(fast.work.workItems, slow.work.workItems);
+    EXPECT_LT(fast.work.items, slow.work.items);
 }
 
 TEST(SingleMachine, MemoryLimitEnforced)

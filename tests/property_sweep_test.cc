@@ -254,7 +254,7 @@ TEST_P(RandomPatternPlans, EngineAndRunnerChargeTheSameWork)
             std::uint64_t items = 0;
             for (const sim::NodeStats &node : engine.stats().nodes)
                 items += node.intersectionItems;
-            EXPECT_EQ(items, run.workItems)
+            EXPECT_EQ(items, run.items)
                 << p.toString() << " induced=" << induced;
             EXPECT_EQ(static_cast<std::int64_t>(count)
                           * plan.countDivisor,
@@ -273,8 +273,9 @@ TEST_P(RandomPatternPlans, EngineAndRunnerChargeTheSameWork)
  * included), and the DFS runner's result fields and edge-list hook
  * order must agree too.  The dump prints 15 significant digits, so
  * every node's modeled doubles and the makespan are also compared
- * bit for bit: the counted path replays the scan's float charges
- * exactly (core::ChargeReplay), not approximately.
+ * bit for bit: the counted path adds the same integer checks and
+ * terminals to its sim::WorkTally as the scan, so both price to the
+ * same double.
  */
 class NoopVisitor : public core::MatchVisitor
 {
@@ -366,9 +367,9 @@ expectCountedTerminalMatchesScan(const Graph &g, const ExtendPlan &plan,
         g, plan, roots, &runner_visitor, &scanned_hooks);
     EXPECT_EQ(run.rawCount, scan.rawCount);
     EXPECT_EQ(static_cast<Count>(run.rawCount), count);
-    EXPECT_EQ(run.workItems, scan.workItems);
-    EXPECT_EQ(run.candidatesChecked, scan.candidatesChecked);
-    EXPECT_EQ(run.embeddingsVisited, scan.embeddingsVisited);
+    EXPECT_EQ(run.items, scan.items);
+    EXPECT_EQ(run.checks, scan.checks);
+    EXPECT_EQ(run.embeddings, scan.embeddings);
     EXPECT_EQ(counted_hooks.accesses, scanned_hooks.accesses);
     EXPECT_EQ(counted_hooks.hash, scanned_hooks.hash);
 }
@@ -425,10 +426,10 @@ TEST(CountedTerminal, ServeMixShapesAndALabeledPatternMatchTheScan)
 
 /**
  * serve_mix's hub-heavy shapes on the mc stand-in at 4 KB chunks:
- * hub rows give counted runs of thousands of candidates, past
- * ChargeReplay's short-run and zero-prefix cutoffs, so the modeled
- * charges go through the binade jump.  The runner keeps no float
- * ledger, so only the engine is compared.
+ * hub rows give counted levels of thousands of candidates, whose
+ * checks and terminals the engine counts in one add each.  The
+ * runner's integer counters are already compared above, so only the
+ * engine is compared.
  */
 TEST(CountedTerminal, HubHeavyShapesReplayTheScanChargesExactly)
 {

@@ -2,12 +2,13 @@
  * @file
  * Tests for the DFS plan runner and the brute-force oracle itself:
  * closed-form counts on structured graphs, visitor semantics, work
- * accounting, and the plan step's overflow-checked IEP fold and
- * raw-count sums.
+ * accounting, the plan step's overflow-checked IEP fold and
+ * raw-count sums, and its counted-level tallies.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -168,9 +169,10 @@ TEST(Runner, WorkCountersArePopulated)
     for (VertexId v = 0; v < g.numVertices(); ++v)
         roots[v] = v;
     const auto result = core::runPlanDfs(g, plan, roots);
-    EXPECT_GT(result.workItems, 0u);
-    EXPECT_GT(result.candidatesChecked, 0u);
-    EXPECT_GT(result.embeddingsVisited, g.numVertices());
+    EXPECT_GT(result.items, 0u);
+    EXPECT_GT(result.checks, 0u);
+    EXPECT_GT(result.embeddings, g.numVertices());
+    EXPECT_EQ(result.terminals, 0u);
 }
 
 TEST(Runner, HooksObserveEdgeListAccesses)
@@ -313,6 +315,131 @@ TEST(PlanStep, RawCountSumsAreCheckedAtTheInt64Edges)
     one.rawCount = -1;
     sum.accumulate(one);
     EXPECT_EQ(sum.rawCount, max - 1);
+}
+
+/**
+ * Walks every prefix of @p plan over @p g and, at each countable
+ * level, checks countCandidates' tally against the set that
+ * buildCandidates materializes: the same size and work items,
+ * `below` = the candidates under the restriction bound, `rejected`
+ * = the unrestricted matched vertices at or above it, and
+ * accepted() = the candidates accept() keeps.
+ */
+struct TallyWalk
+{
+    const ExtendPlan &plan;
+    core::PlanStep step;
+    std::array<std::vector<VertexId>, kMaxPatternSize> candidates{};
+    std::vector<VertexId> scratch;
+    Count levels = 0;
+    Count below = 0;
+    Count rejected = 0;
+
+    TallyWalk(const Graph &g, const ExtendPlan &p)
+        : plan(p), step(g, p, core::KernelMode::Auto)
+    {}
+
+    void
+    check(int t)
+    {
+        core::CandidateTally tally;
+        const core::WorkItems counted =
+            step.countCandidates(t, candidates[t - 1], scratch, tally);
+        const core::WorkItems built =
+            step.buildCandidates(t, candidates[t - 1], candidates[t]);
+        const std::vector<VertexId> &set = candidates[t];
+        const PlanLevel &level = plan.levels[t];
+        VertexId bound = 0;
+        for (int j = 0; j < t; ++j)
+            if ((level.greaterThanMask >> j) & 1u)
+                bound = std::max(bound, step.vertices[j] + 1);
+        Count expect_below = 0;
+        Count expect_rejected = 0;
+        Count expect_accepted = 0;
+        for (const VertexId c : set) {
+            expect_accepted += step.accept(t, c);
+            if (c < bound) {
+                ++expect_below;
+                continue;
+            }
+            for (int j = 0; j < t; ++j)
+                if (step.vertices[j] == c) {
+                    ++expect_rejected;
+                    break;
+                }
+        }
+        ASSERT_EQ(counted, built) << "level " << t;
+        ASSERT_EQ(tally.total, set.size()) << "level " << t;
+        ASSERT_EQ(tally.below, expect_below) << "level " << t;
+        ASSERT_EQ(tally.rejected, expect_rejected) << "level " << t;
+        ASSERT_EQ(tally.accepted(), expect_accepted) << "level " << t;
+        ++levels;
+        below += tally.below;
+        rejected += tally.rejected;
+    }
+
+    void
+    walk(int level)
+    {
+        const int t = level + 1;
+        if (t >= plan.pattern.size())
+            return;
+        if (step.countable(t)) {
+            check(t);
+            if (testing::Test::HasFatalFailure())
+                return;
+        } else {
+            step.buildCandidates(t, candidates[t - 1], candidates[t]);
+        }
+        for (std::size_t i = 0; i < candidates[t].size(); ++i) {
+            const VertexId candidate = candidates[t][i];
+            if (!step.accept(t, candidate))
+                continue;
+            step.vertices[t] = candidate;
+            walk(t);
+            if (testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+};
+
+TEST(PlanStep, CountedLevelTallyMatchesTheBuiltSet)
+{
+    const Graph g = gen::rmat(120, 700, 0.55, 0.2, 0.2, 31);
+    const GraphProfile profile = GraphProfile::fromGraph(g);
+    Count levels = 0;
+    Count below = 0;
+    Count rejected = 0;
+    for (const bool induced : {false, true}) {
+        PlanOptions options;
+        options.induced = induced;
+        options.useIep = false;
+        for (const Pattern &p :
+             {Pattern::triangle(), Pattern::pathOf(3),
+              Pattern::cycleOf(4), Pattern::diamond(),
+              Pattern::tailedTriangle(), Pattern::starOf(4),
+              Pattern::pathOf(4)}) {
+            for (const ExtendPlan &plan :
+                 {compileAutomine(p, options),
+                  compileGraphPi(p, profile, options)}) {
+                SCOPED_TRACE(p.toString() + " induced="
+                             + std::to_string(induced));
+                TallyWalk walk(g, plan);
+                for (VertexId v = 0; v < g.numVertices(); ++v) {
+                    walk.step.vertices[0] = v;
+                    walk.walk(0);
+                    ASSERT_FALSE(HasFatalFailure());
+                }
+                levels += walk.levels;
+                below += walk.below;
+                rejected += walk.rejected;
+            }
+        }
+    }
+    // Every kind of rejection occurred.
+    EXPECT_GT(levels, 0u);
+    EXPECT_GT(below, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "graph/generators.hh"
 #include "graph/partition.hh"
@@ -16,6 +18,7 @@
 #include "sim/fabric.hh"
 #include "sim/stats.hh"
 #include "support/check.hh"
+#include "support/rng.hh"
 
 namespace khuzdul
 {
@@ -36,6 +39,46 @@ TEST(CostModel, NumaTransferIsCheaperThanNetwork)
     sim::CostModel cost;
     EXPECT_LT(cost.numaTransferNs(64 << 10, 16),
               cost.transferNs(64 << 10, 16));
+}
+
+TEST(CostModel, WorkNsPricesEachCounterOnce)
+{
+    // Each counter is priced at its own constant, once.
+    const sim::CostModel defaults;
+    EXPECT_EQ(defaults.workNs({}), 0.0);
+    EXPECT_EQ(defaults.workNs({1, 0, 0, 0}), defaults.intersectPerItemNs);
+    EXPECT_EQ(defaults.workNs({0, 1, 0, 0}), defaults.candidateCheckNs);
+    EXPECT_EQ(defaults.workNs({0, 0, 1, 0}), defaults.embeddingCreateNs);
+    EXPECT_EQ(defaults.workNs({0, 0, 0, 1}), defaults.terminalNs);
+
+    // Without terminals the price is the baselines' three-term sum,
+    // bit for bit, so their modeled output does not depend on which
+    // of the two spellings computes it.
+    Rng rng(20261020);
+    for (int i = 0; i < 20000; ++i) {
+        sim::CostModel cost;
+        if (i % 2 == 1) {
+            cost.intersectPerItemNs = 10 * rng.nextDouble();
+            cost.candidateCheckNs = 10 * rng.nextDouble();
+            cost.embeddingCreateNs = 10 * rng.nextDouble();
+            cost.terminalNs = 10 * rng.nextDouble();
+        }
+        const std::uint64_t scale = std::uint64_t{1}
+            << rng.nextBounded(48);
+        sim::WorkTally work;
+        work.items = rng.nextBounded(scale);
+        work.checks = rng.nextBounded(scale);
+        work.embeddings = rng.nextBounded(scale);
+        const double baseline =
+            static_cast<double>(work.items) * cost.intersectPerItemNs
+            + static_cast<double>(work.checks) * cost.candidateCheckNs
+            + static_cast<double>(work.embeddings)
+                * cost.embeddingCreateNs;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(cost.workNs(work)),
+                  std::bit_cast<std::uint64_t>(baseline))
+            << i << std::hexfloat << ": " << cost.workNs(work) << " vs "
+            << baseline;
+    }
 }
 
 TEST(ClusterConfig, CoreAccounting)
